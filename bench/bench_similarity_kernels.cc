@@ -271,6 +271,8 @@ int main(int argc, char** argv) {
   argc = out;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("pier_build_type", PIER_BUILD_TYPE);
+  benchmark::AddCustomContext("pier_simd", PIER_SIMD_ENABLED);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return gate ? RunGate(gate_ed, gate_js) : 0;

@@ -50,9 +50,19 @@ size_t BuildPeq(std::string_view pattern, SimilarityScratch* s) {
 }
 
 // Core Myers column scan: pattern is the shorter (non-empty) string,
-// text the longer. Returns the exact distance if it is <= max_dist,
-// otherwise max_dist + 1. Callers clamp max_dist so that
-// max_dist + text.size() cannot overflow.
+// text the longer, and callers guarantee n - m <= max_dist and that
+// max_dist + text.size() cannot overflow. Returns the exact distance
+// if it is <= max_dist, otherwise some value > max_dist.
+//
+// Multi-word patterns are scanned in a diagonal band. Any alignment
+// through cell (i, j) costs at least |j - i| + |delta - (j - i)| with
+// delta = n - m, so only diagonals j - i in [-w, delta + w], w =
+// (max_dist - delta) / 2, can carry a distance <= max_dist; each
+// column runs only the 64-row blocks that cover that band's rows. The
+// window's edges over-estimate the DP (see the loop), so every cell
+// on a path of cost <= max_dist is exact and no over-estimated cell
+// can report a distance <= max_dist. An unbounded call (max_dist >=
+// m + n) gets the full band and never takes the diagonal exit.
 size_t MyersCore(std::string_view pattern, std::string_view text,
                  size_t max_dist, SimilarityScratch* s) {
   const size_t m = pattern.size();
@@ -90,24 +100,55 @@ size_t MyersCore(std::string_view pattern, std::string_view text,
     return score;
   }
 
-  // Blocked multi-word variant: per-block vertical deltas with the
-  // horizontal delta (+1/0/-1) carried across block boundaries.
+  // Blocked multi-word variant over the band: per-block vertical
+  // deltas, with the horizontal delta (+1/0/-1) carried across block
+  // boundaries. Rows are 1-based; block b holds rows 64b+1 .. 64b+64
+  // (its bit r is row 64b+r+1). `first`/`last` are the window's
+  // blocks, `score` is D[bottom row of block `last`][j] and `diag` is
+  // D[j - delta][j], the cell of column j on the diagonal that ends in
+  // D[m][n].
+  const size_t delta = n - m;
+  const size_t w = (max_dist - delta) / 2;
+  const size_t final_block = blocks - 1;
+  const uint64_t final_high = uint64_t{1} << ((m - 1) & 63);
+  const auto block_rows = [m](size_t b) {
+    return std::min(m, 64 * (b + 1)) - 64 * b;
+  };
   uint64_t* pv = s->pv.data();
   uint64_t* mv = s->mv.data();
-  for (size_t b = 0; b < blocks; ++b) {
+  size_t first = 0;
+  size_t last = (std::min(m, w + 1) - 1) >> 6;  // window of column 1
+  ptrdiff_t diag = static_cast<ptrdiff_t>(delta);  // D[0][delta] = delta
+  size_t score = 0;
+  for (size_t b = 0; b <= last; ++b) {  // column 0: D[i][0] = i
     pv[b] = ~uint64_t{0};
     mv[b] = 0;
+    score += block_rows(b);
   }
-  size_t score = m;
-  const size_t last = blocks - 1;
-  const uint64_t last_high = uint64_t{1} << ((m - 1) & 63);
-  for (size_t j = 0; j < n; ++j) {
-    const unsigned char c = static_cast<unsigned char>(text[j]);
+  for (size_t j = 1; j <= n; ++j) {
+    const unsigned char c = static_cast<unsigned char>(text[j - 1]);
     const uint64_t* eq_row =
         s->peq_stamp[c] == s->epoch ? &s->peq[size_t{c} * stride] : zeros;
+    // Bottom edge: the band reaches at most one more block per column.
+    // The entering block's previous column is taken as D[64b][j-1] + r
+    // for its row r, never below the true D[64b + r][j-1].
+    if (((std::min(m, j + w) - 1) >> 6) > last) {
+      ++last;
+      pv[last] = ~uint64_t{0};
+      mv[last] = 0;
+      score += block_rows(last);
+    }
+    // Top edge: blocks wholly above the band drop out. The new top
+    // block sees hin = +1, i.e. D[64 * first][j] = D[64 * first][j-1]
+    // + 1, again never below the true value.
+    if (j > delta + w) first = (j - delta - w - 1) >> 6;
+    // Row j - delta holds this column's diagonal cell (none while j <=
+    // delta); its block and bit, in the unsigned wrap-around otherwise.
+    const size_t diag_block = j > delta ? (j - delta - 1) >> 6 : blocks;
+    const uint64_t diag_bit = uint64_t{1} << ((j - delta - 1) & 63);
     int hin = 1;  // D[0][j] = j: the boundary row grows by one
-    for (size_t b = 0; b < blocks; ++b) {
-      const uint64_t high = b == last ? last_high : kHighBit;
+    for (size_t b = first; b <= last; ++b) {
+      const uint64_t high = b == final_block ? final_high : kHighBit;
       uint64_t eq = eq_row[b];
       const uint64_t pvb = pv[b];
       const uint64_t mvb = mv[b];
@@ -131,10 +172,21 @@ size_t MyersCore(std::string_view pattern, std::string_view text,
       }
       pv[b] = mh | ~(xv | ph);
       mv[b] = ph & xv;
+      if (b == diag_block) {
+        // D[r][j] = D[r-1][j-1] + (horizontal delta of row r-1, which
+        // the shifted ph/mh hold at row r's bit) + (vertical delta of
+        // row r in column j).
+        diag += ((ph & diag_bit) != 0) - ((mh & diag_bit) != 0) +
+                ((pv[b] & diag_bit) != 0) - ((mv[b] & diag_bit) != 0);
+      }
       hin = hout;
     }
     score = static_cast<size_t>(static_cast<ptrdiff_t>(score) + hin);
-    if (score > max_dist + (n - j - 1)) return max_dist + 1;
+    // Diagonal exit: D never decreases along a diagonal and diagonal
+    // delta ends in D[m][n], so D[j - delta][j] > max_dist decides the
+    // verdict. That cell lies in the band, so it is exact whenever its
+    // true value is <= max_dist.
+    if (diag > static_cast<ptrdiff_t>(max_dist)) return max_dist + 1;
   }
   return score;
 }

@@ -55,10 +55,10 @@ size_t MyersEditDistance(std::string_view a, std::string_view b,
                          SimilarityScratch* scratch);
 
 // Bounded variant: returns min(Levenshtein(a, b), max_dist + 1).
-// Applies the length-difference lower bound up front and abandons a
-// column early once the running score can no longer re-enter the
-// bound (Ukkonen-style cutoff: the final distance decreases by at
-// most one per remaining text column).
+// Applies the length-difference lower bound up front, computes only
+// the 64-row blocks covering the max_dist + 1 diagonals an alignment
+// within the bound can use (Ukkonen's band), and stops as soon as the
+// cell on the diagonal that ends in the result exceeds max_dist.
 size_t MyersEditDistanceBounded(std::string_view a, std::string_view b,
                                 size_t max_dist, SimilarityScratch* scratch);
 

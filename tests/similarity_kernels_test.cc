@@ -158,6 +158,68 @@ TEST_P(SimilarityKernelsMyersPropertyTest, KernelsMatchReferenceDp) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityKernelsMyersPropertyTest,
                          ::testing::Values(11u, 12u, 13u, 14u, 15u));
 
+// Applies `edits` random unit edits to `base`. With `inserts_only` the
+// result is exactly `edits` chars longer, so the length difference sits
+// at or just above the distance -- the band's asymmetric edge.
+std::string RandomlyEdited(Rng& rng, const std::string& base, size_t edits,
+                           uint32_t alphabet, bool inserts_only) {
+  std::string s = base;
+  for (size_t e = 0; e < edits; ++e) {
+    const char fresh = RandomString(rng, 1, alphabet)[0];
+    const uint64_t op = inserts_only || s.empty() ? 0 : rng.UniformInt(0, 2);
+    if (op == 0) {
+      s.insert(s.begin() + static_cast<ptrdiff_t>(rng.UniformInt(0, s.size())),
+               fresh);
+    } else if (op == 1) {
+      s.erase(rng.UniformInt(0, s.size() - 1), 1);
+    } else {
+      s[rng.UniformInt(0, s.size() - 1)] = fresh;
+    }
+  }
+  return s;
+}
+
+// Property at the band edge: near-duplicates (b is a plus a controlled
+// number of edits) of up to 600 chars, so up to ten blocks and windows
+// whose first block lies mid-pattern, with bounds straddling the exact
+// distance. Independent random strings almost never land there.
+class SimilarityKernelsBandEdgePropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SimilarityKernelsBandEdgePropertyTest, BoundedKernelExactAtTheBound) {
+  Rng rng(GetParam());
+  SimilarityScratch scratch;
+  const uint32_t alphabets[] = {2, 4, 26, 256};
+  for (int iter = 0; iter < 120; ++iter) {
+    const uint32_t alphabet = alphabets[iter % 4];
+    const std::string base =
+        RandomString(rng, rng.UniformInt(0, 600), alphabet);
+    const size_t edits =
+        rng.UniformInt(0, std::max<size_t>(base.size() / 4, 8));
+    const bool inserts_only = iter % 3 == 0;
+    std::string a = base;
+    std::string b = RandomlyEdited(rng, base, edits, alphabet, inserts_only);
+    if (iter % 2 == 1) std::swap(a, b);
+    const size_t exact = Levenshtein(a, b);
+    ASSERT_EQ(MyersEditDistance(a, b, &scratch), exact)
+        << "|a|=" << a.size() << " |b|=" << b.size()
+        << " alphabet=" << alphabet;
+
+    const size_t bounds[] = {exact > 0 ? exact - 1 : 0, exact, exact + 1,
+                             rng.UniformInt(0, exact + 8),
+                             rng.UniformInt(0, 2 * exact + 8)};
+    for (const size_t bound : bounds) {
+      ASSERT_EQ(MyersEditDistanceBounded(a, b, bound, &scratch),
+                std::min(exact, bound + 1))
+          << "|a|=" << a.size() << " |b|=" << b.size() << " k=" << bound
+          << " exact=" << exact << " alphabet=" << alphabet;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityKernelsBandEdgePropertyTest,
+                         ::testing::Values(71u, 72u, 73u, 74u));
+
 // ---------------------------------------------------------------------------
 // Threshold -> integer-bound conversions
 // ---------------------------------------------------------------------------
@@ -474,6 +536,26 @@ TEST(SimilarityKernelsMatcherTest, EditDistanceVerdictNearIdenticalTexts) {
             << "t=" << t << " len=" << len << " edits=" << edits;
       }
     }
+  }
+}
+
+TEST(SimilarityKernelsMatcherTest, EditDistanceVerdictLongNearDuplicates) {
+  // The dbpedia-ed configuration: texts past the 512-char cap, where
+  // the banded kernel runs several blocks and the bound (~128) is wide.
+  SimilarityScratch scratch;
+  Rng rng(81);
+  const EditDistanceMatcher matcher(0.75, /*max_text_length=*/512);
+  for (int iter = 0; iter < 60; ++iter) {
+    const uint32_t alphabet = iter % 2 == 0 ? 26 : 4;
+    const std::string base =
+        RandomString(rng, rng.UniformInt(512, 700), alphabet);
+    // Up to ~1.5x the bound, so verdicts fall on both sides of it.
+    const size_t edits = rng.UniformInt(0, 200);
+    const auto a = MakeProfile(0, {}, base);
+    const auto b = MakeProfile(
+        1, {}, RandomlyEdited(rng, base, edits, alphabet, iter % 5 == 0));
+    ASSERT_EQ(matcher.Verdict(a, b, &scratch), matcher.Matches(a, b))
+        << "iter=" << iter << " edits=" << edits;
   }
 }
 

@@ -75,7 +75,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -97,33 +96,13 @@
 #include "text/tokenizer.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "flags.h"
 
 namespace {
 
-std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg] = "1";
-    } else {
-      args[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return args;
-}
-
-std::string Get(const std::map<std::string, std::string>& args,
-                const std::string& key, const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
+using pier::tools::Get;
+using pier::tools::GetNumber;
+using pier::tools::ParseArgs;
 
 int Usage() {
   std::fprintf(
@@ -240,12 +219,12 @@ int main(int argc, char** argv) {
   PierOptions options;
   options.kind = kind;
   options.blocking.max_block_size =
-      std::stoul(Get(args, "max-block-size", "1000"));
-  options.prioritizer.beta = std::stod(Get(args, "beta", "0.5"));
-  options.execution_threads = std::stoul(Get(args, "threads", "1"));
+      GetNumber<size_t>(args, "max-block-size", 1000);
+  options.prioritizer.beta = GetNumber(args, "beta", 0.5);
+  options.execution_threads = GetNumber<size_t>(args, "threads", 1);
 
   options.prioritizer.frontier_seed =
-      std::stoull(Get(args, "frontier-seed", "42"));
+      GetNumber<uint64_t>(args, "frontier-seed", 42);
 
   // --algorithm is the canonical flag; --strategy stays as an alias
   // for older scripts. Names resolve through the registry,
@@ -285,7 +264,7 @@ int main(int argc, char** argv) {
 
   const std::string matcher_name = Get(args, "matcher", "JS");
   const auto matcher =
-      MakeMatcher(matcher_name, std::stod(Get(args, "threshold", "0.5")));
+      MakeMatcher(matcher_name, GetNumber(args, "threshold", 0.5));
   if (!matcher) {
     std::fprintf(stderr,
                  "pier_cli: unknown matcher '%s' (valid names: %s)\n",
@@ -295,10 +274,10 @@ int main(int argc, char** argv) {
 
   SimulatorOptions sim_options;
   sim_options.frontier_seed = options.prioritizer.frontier_seed;
-  sim_options.num_increments = std::stoul(Get(args, "increments", "100"));
-  sim_options.increments_per_second = std::stod(Get(args, "rate", "0"));
-  const std::string budget = Get(args, "budget", "");
-  if (!budget.empty()) sim_options.time_budget_s = std::stod(budget);
+  sim_options.num_increments = GetNumber<size_t>(args, "increments", 100);
+  sim_options.increments_per_second = GetNumber(args, "rate", 0.0);
+  sim_options.time_budget_s =
+      GetNumber(args, "budget", sim_options.time_budget_s);
   const std::string cost_model = Get(args, "cost-model", "measured");
   if (cost_model == "modeled") {
     sim_options.cost_mode = CostMeter::Mode::kModeled;
@@ -311,8 +290,8 @@ int main(int argc, char** argv) {
   sim_options.execution_threads = options.execution_threads;
   sim_options.checkpoint_dir = Get(args, "checkpoint-dir", "");
   sim_options.checkpoint_every =
-      std::stoul(Get(args, "checkpoint-every", "10"));
-  sim_options.checkpoint_keep = std::stoul(Get(args, "checkpoint-keep", "3"));
+      GetNumber<size_t>(args, "checkpoint-every", 10);
+  sim_options.checkpoint_keep = GetNumber<size_t>(args, "checkpoint-keep", 3);
 
   // Observability: stream JSON-lines snapshots of every stage metric.
   obs::MetricsRegistry metrics;
@@ -328,7 +307,7 @@ int main(int argc, char** argv) {
     sim_options.metrics = &metrics;
     sim_options.metrics_out = &metrics_out;
     sim_options.metrics_interval_s =
-        std::stod(Get(args, "metrics-interval", "1"));
+        GetNumber(args, "metrics-interval", 1.0);
   }
 
   const std::string resume_from = Get(args, "resume-from", "");
@@ -340,13 +319,13 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  const size_t ingest_shards = std::stoul(Get(args, "ingest-shards", "1"));
+  const size_t ingest_shards = GetNumber<size_t>(args, "ingest-shards", 1);
   if (ingest_shards == 0) {
     std::fprintf(stderr, "--ingest-shards must be >= 1\n");
     return Usage();
   }
 
-  const double mutation_rate = std::stod(Get(args, "mutation-rate", "0"));
+  const double mutation_rate = GetNumber(args, "mutation-rate", 0.0);
   if (mutation_rate < 0.0 || mutation_rate > 1.0) {
     std::fprintf(stderr, "--mutation-rate must be in [0, 1]\n");
     return Usage();
@@ -356,7 +335,7 @@ int main(int argc, char** argv) {
   if (mutation_rate > 0.0) options.mutable_stream = true;
   MutationDriver mutations(*dataset, mutation_rate);
 
-  const size_t serve_queries = std::stoul(Get(args, "serve-queries", "0"));
+  const size_t serve_queries = GetNumber<size_t>(args, "serve-queries", 0);
   if (serve_queries > 0) {
     if (!resume_from.empty() || args.count("print-matches")) {
       std::fprintf(stderr,

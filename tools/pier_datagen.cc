@@ -22,38 +22,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <string>
 
 #include "datagen/dataset_io.h"
 #include "datagen/generators.h"
+#include "flags.h"
 
 namespace {
 
-std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg] = "1";
-    } else {
-      args[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return args;
-}
-
-std::string Get(const std::map<std::string, std::string>& args,
-                const std::string& key, const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
+using pier::tools::Flags;
+using pier::tools::Get;
+using pier::tools::GetNumber;
+using pier::tools::ParseArgs;
 
 int Usage() {
   std::fprintf(stderr,
@@ -68,14 +48,11 @@ int Usage() {
 }
 
 // Constant-memory census export: generator -> CSV, no Dataset.
-int StreamCensus(const std::map<std::string, std::string>& args,
-                 const std::string& profiles_path) {
+int StreamCensus(const Flags& args, const std::string& profiles_path) {
   pier::CensusStreamOptions options;
-  options.num_records = std::stoull(Get(args, "records", "2000000"));
-  options.shuffle_window =
-      std::stoull(Get(args, "window",
-                      std::to_string(options.shuffle_window)));
-  const uint64_t seed = std::stoull(Get(args, "seed", "0"));
+  options.num_records = GetNumber(args, "records", options.num_records);
+  options.shuffle_window = GetNumber(args, "window", options.shuffle_window);
+  const uint64_t seed = GetNumber<uint64_t>(args, "seed", 0);
   if (seed != 0) options.seed = seed;
 
   std::ofstream profiles_out(profiles_path);
@@ -147,8 +124,8 @@ int main(int argc, char** argv) {
     }
     return StreamCensus(args, profiles_path);
   }
-  const double scale = std::stod(Get(args, "scale", "1"));
-  const uint64_t seed = std::stoull(Get(args, "seed", "0"));
+  const double scale = GetNumber(args, "scale", 1.0);
+  const uint64_t seed = GetNumber<uint64_t>(args, "seed", 0);
 
   Dataset dataset;
   if (name == "bibliographic") {
