@@ -202,12 +202,10 @@ void BM_ScalableBloomTestAndAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalableBloomTestAndAdd);
 
-// Probe cost of the three Bloom bit layouts at a fixed sizing: the
-// modulo divide (legacy), the fastrange multiply, and the one-cache-
-// line blocked variant. Arg is the BloomLayout enum value.
+// Probe cost of the one-cache-line blocked Bloom filter at a fixed
+// sizing.
 void BM_BloomProbe(benchmark::State& state) {
-  const auto layout = static_cast<BloomLayout>(state.range(0));
-  BloomFilter filter(100000, 0.01, layout);
+  BloomFilter filter(100000, 0.01);
   Rng rng(5);
   for (uint64_t i = 0; i < 100000; ++i) filter.Add(rng.NextU64());
   Rng probe(6);
@@ -215,7 +213,7 @@ void BM_BloomProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(filter.MayContain(probe.NextU64()));
   }
 }
-BENCHMARK(BM_BloomProbe)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_BloomProbe);
 
 std::vector<TokenId> RandomSortedTokens(Rng& rng, size_t size,
                                         uint32_t universe) {

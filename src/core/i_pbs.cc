@@ -12,7 +12,10 @@
 namespace pier {
 
 IPbs::IPbs(PrioritizerContext ctx, PrioritizerOptions options)
-    : ctx_(ctx), options_(options), index_(options.cmp_index_capacity) {}
+    : ctx_(ctx),
+      options_(options),
+      cf_(/*exact=*/false, options.mutable_stream),
+      index_(options.cmp_index_capacity) {}
 
 WorkStats IPbs::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   WorkStats stats;
@@ -99,7 +102,7 @@ void IPbs::ScheduleBlock(TokenId token, WorkStats* stats) {
         for (const ProfileId y : b.members[s]) {
           if (y == x) continue;
           Comparison c(x, y, 0.0, bsize);
-          if (FilterTestAndAdd(c)) continue;  // redundant
+          if (cf_.TestAndAdd(c.x, c.y)) continue;  // redundant
           c.weight = PairCbsWeight(px, profiles.Get(y));
           index_.PushBounded(c);
           ++stats->comparisons_generated;
@@ -116,16 +119,6 @@ void IPbs::ScheduleBlock(TokenId token, WorkStats* stats) {
     cardinality_index_.erase(ci_it);
   }
   profile_index_.erase(token);
-}
-
-bool IPbs::FilterTestAndAdd(const Comparison& c) {
-  if (!options_.mutable_stream) return comparison_filter_.TestAndAdd(c.Key());
-  if (counting_filter_.TestAndAdd(c.Key())) return true;
-  // Freshly inserted: record the pair so OnRetract can remove the key
-  // again. Pairs are recorded exactly once per filter insert (the
-  // counting-filter cells tolerate exactly one matching Remove).
-  filter_pairs_.Add(c.x, c.y);
-  return false;
 }
 
 bool IPbs::Dequeue(Comparison* out) {
@@ -152,9 +145,7 @@ void IPbs::OnRetract(ProfileId id) {
 
   // CF: forget every scheduled pair with this endpoint so a corrected
   // profile's comparisons pass the filter again.
-  for (const ProfileId partner : filter_pairs_.Take(id)) {
-    counting_filter_.Remove(PairKey(id, partner));
-  }
+  cf_.Retract(id);
 
   // CmpIndex: rebuild without the retracted profile's comparisons.
   std::vector<Comparison> kept;
@@ -189,14 +180,7 @@ void IPbs::Snapshot(std::ostream& out) const {
     serial::WriteVec(out, profile_index_.at(token), serial::WriteU32);
   }
 
-  // The active filter only; the reader branches the same way because
-  // mutable_stream is part of the pipeline options fingerprint.
-  if (options_.mutable_stream) {
-    counting_filter_.Snapshot(out);
-    filter_pairs_.Snapshot(out);
-  } else {
-    comparison_filter_.Snapshot(out);
-  }
+  cf_.Snapshot(out);
   serial::WriteVec(out, index_.data(), SnapshotComparison);
 }
 
@@ -224,12 +208,7 @@ bool IPbs::Restore(std::istream& in) {
     if (!pi.emplace(token, std::move(members)).second) return false;
   }
 
-  if (options_.mutable_stream) {
-    if (!counting_filter_.Restore(in)) return false;
-    if (!filter_pairs_.Restore(in)) return false;
-  } else {
-    if (!comparison_filter_.Restore(in)) return false;
-  }
+  if (!cf_.Restore(in)) return false;
   std::vector<Comparison> data;
   if (!serial::ReadVec(in, &data, RestoreComparison)) return false;
   if (!index_.RestoreData(std::move(data))) return false;

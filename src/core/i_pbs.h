@@ -6,7 +6,7 @@
 // the block yielding the fewest unexecuted comparisons is scheduled,
 // its comparisons entering the global CmpIndex with a composite
 // (block size, CBS weight) priority. A scalable Bloom filter CF
-// suppresses redundant comparisons [16].
+// (PairFilter) suppresses redundant comparisons [16].
 
 #ifndef PIER_CORE_I_PBS_H_
 #define PIER_CORE_I_PBS_H_
@@ -20,10 +20,8 @@
 
 #include "core/prioritizer.h"
 #include "model/comparison.h"
-#include "model/pair_registry.h"
+#include "model/pair_filter.h"
 #include "util/bounded_priority_queue.h"
-#include "util/counting_bloom_filter.h"
-#include "util/scalable_bloom_filter.h"
 
 namespace pier {
 
@@ -49,10 +47,6 @@ class IPbs : public IncrementalPrioritizer {
   // entries (lines 15-16).
   void ScheduleBlock(TokenId token, WorkStats* stats);
 
-  // Tests `c` against the active comparison filter and records it when
-  // freshly added. Returns true when the comparison is redundant.
-  bool FilterTestAndAdd(const Comparison& c);
-
   PrioritizerContext ctx_;
   PrioritizerOptions options_;
 
@@ -66,16 +60,12 @@ class IPbs : public IncrementalPrioritizer {
   // selection; mirrors cardinality_index_ entries with count > 0.
   std::set<std::pair<uint64_t, TokenId>> min_index_;
 
-  // CF: redundancy filter over already-scheduled pairs. Append-only
-  // streams use the plain scalable filter; mutable streams (deletes /
-  // corrections) use the counting variant plus a pair registry so
+  // CF: redundancy filter over already-scheduled pairs, always
+  // Bloom-based; retractable under options_.mutable_stream (part of
+  // the pipeline fingerprint, so it also pins the snapshot format) so
   // OnRetract can withdraw a retracted profile's keys and a corrected
-  // profile's comparisons reschedule. Only the active pair is
-  // serialized; the snapshot format is selected by
-  // options_.mutable_stream (part of the pipeline fingerprint).
-  ScalableBloomFilter comparison_filter_;
-  ScalableCountingBloomFilter counting_filter_;
-  PairRegistry filter_pairs_;
+  // profile's comparisons reschedule.
+  PairFilter cf_;
 
   BoundedPriorityQueue<Comparison, CompareByBlockThenWeight> index_;
 };

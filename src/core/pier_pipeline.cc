@@ -35,7 +35,8 @@ PierPipeline::PierPipeline(PierOptions options)
     : options_(options),
       blocks_(options.kind, options.blocking),
       tokenizer_(options.tokenizer),
-      adaptive_k_(options.adaptive_k) {
+      adaptive_k_(options.adaptive_k),
+      executed_(options.exact_executed_filter, options.mutable_stream) {
   // The mutability mode is a pipeline-level decision; strategies see it
   // through their own options (it selects their pair-filter snapshot
   // format and enables OnRetract bookkeeping).
@@ -170,17 +171,8 @@ void PierPipeline::RetractProfile(ProfileId id, WorkStats* stats) {
     dictionary_.DecrementDocFrequency(token);
   }
   // Withdraw every executed pair with this endpoint so a corrected
-  // profile's comparisons pass the filter again. Each key is removed
-  // exactly once (the registry forgets both directions).
-  for (const ProfileId partner : executed_pairs_.Take(id)) {
-    const uint64_t key = PairKey(id, partner);
-    if (options_.exact_executed_filter) {
-      executed_exact_.erase(key);
-    } else {
-      executed_counting_.Remove(key);
-    }
-    ++stats->index_ops;
-  }
+  // profile's comparisons pass the filter again.
+  stats->index_ops += executed_.Retract(id);
   if (options_.track_clusters) clusters_.RemoveProfile(id);
 }
 
@@ -268,23 +260,6 @@ WorkStats PierPipeline::Tick() {
   return prioritizer_->UpdateCmpIndex({});
 }
 
-bool PierPipeline::AlreadyExecuted(const Comparison& c) {
-  const uint64_t key = c.Key();
-  bool newly_added;
-  if (options_.exact_executed_filter) {
-    newly_added = executed_exact_.insert(key).second;
-  } else if (options_.mutable_stream) {
-    newly_added = !executed_counting_.TestAndAdd(key);
-  } else {
-    return executed_filter_.TestAndAdd(key);
-  }
-  // Record the pair exactly once per filter insert so RetractProfile
-  // can withdraw the key (counting-filter cells tolerate exactly one
-  // matching Remove).
-  if (newly_added && options_.mutable_stream) executed_pairs_.Add(c.x, c.y);
-  return !newly_added;
-}
-
 std::vector<Comparison> PierPipeline::EmitBatch() {
   return EmitBatch(adaptive_k_.FindK());
 }
@@ -313,7 +288,7 @@ std::vector<Comparison> PierPipeline::EmitBatch(size_t k, WorkStats* stats) {
       obs::CounterAdd(metrics_.comparisons_retracted);
       continue;
     }
-    if (AlreadyExecuted(c)) {
+    if (executed_.TestAndAdd(c.x, c.y)) {
       obs::CounterAdd(metrics_.comparisons_suppressed);
       continue;
     }
@@ -392,21 +367,8 @@ void PierPipeline::Snapshot(persist::SnapshotBuilder& builder,
   blocks_.Snapshot(builder.AddSection(prefix + ".blocks"));
   prioritizer_->Snapshot(builder.AddSection(prefix + ".prioritizer"));
 
-  std::ostream& filter = builder.AddSection(prefix + ".filter");
-  if (options_.exact_executed_filter) {
-    // Sorted for canonical bytes (hash-set iteration order varies).
-    std::vector<uint64_t> keys(executed_exact_.begin(),
-                               executed_exact_.end());
-    std::sort(keys.begin(), keys.end());
-    serial::WriteVec(filter, keys, serial::WriteU64);
-  } else if (options_.mutable_stream) {
-    executed_counting_.Snapshot(filter);
-  } else {
-    executed_filter_.Snapshot(filter);
-  }
-  // Mutable streams carry the retraction registry alongside whichever
-  // filter is active (the fingerprint gates the format).
-  if (options_.mutable_stream) executed_pairs_.Snapshot(filter);
+  // The fingerprint pins the filter mode, hence its wire format.
+  executed_.Snapshot(builder.AddSection(prefix + ".filter"));
 
   adaptive_k_.Snapshot(builder.AddSection(prefix + ".findk"));
   clusters_.Snapshot(builder.AddSection(prefix + ".clusters"));
@@ -419,13 +381,8 @@ void PierPipeline::Snapshot(persist::SnapshotBuilder& builder,
                 static_cast<double>(blocks_.ApproxMemoryBytes()));
   obs::GaugeSet(metrics_.state_bytes_dictionary,
                 static_cast<double>(dictionary_.ApproxMemoryBytes()));
-  const size_t filter_bytes =
-      options_.mutable_stream
-          ? executed_counting_.ApproxMemoryBytes() +
-                executed_pairs_.ApproxMemoryBytes()
-          : executed_filter_.ApproxMemoryBytes();
   obs::GaugeSet(metrics_.state_bytes_filter,
-                static_cast<double>(filter_bytes));
+                static_cast<double>(executed_.ApproxMemoryBytes()));
 }
 
 bool PierPipeline::Restore(const persist::SnapshotReader& reader,
@@ -483,24 +440,7 @@ bool PierPipeline::Restore(const persist::SnapshotReader& reader,
   }
 
   if (!reader.Open(prefix + ".filter", &section, error)) return false;
-  if (options_.exact_executed_filter) {
-    std::vector<uint64_t> keys;
-    if (!serial::ReadVec(section, &keys, serial::ReadU64)) {
-      decode_error("filter");
-      return false;
-    }
-    executed_exact_.clear();
-    executed_exact_.insert(keys.begin(), keys.end());
-  } else if (options_.mutable_stream) {
-    if (!executed_counting_.Restore(section)) {
-      decode_error("filter");
-      return false;
-    }
-  } else if (!executed_filter_.Restore(section)) {
-    decode_error("filter");
-    return false;
-  }
-  if (options_.mutable_stream && !executed_pairs_.Restore(section)) {
+  if (!executed_.Restore(section)) {
     decode_error("filter");
     return false;
   }

@@ -30,7 +30,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "blocking/block_collection.h"
@@ -38,14 +37,12 @@
 #include "core/prioritizer.h"
 #include "model/comparison.h"
 #include "model/entity_profile.h"
-#include "model/pair_registry.h"
+#include "model/pair_filter.h"
 #include "model/profile_store.h"
 #include "model/token_dictionary.h"
 #include "obs/metrics.h"
 #include "serve/cluster_index.h"
 #include "text/tokenizer.h"
-#include "util/counting_bloom_filter.h"
-#include "util/scalable_bloom_filter.h"
 
 namespace pier {
 
@@ -241,8 +238,6 @@ class PierPipeline {
                const std::string& prefix = "pier");
 
  private:
-  bool AlreadyExecuted(const Comparison& c);
-
   // Delete internals for one live profile (shared by Delete and the
   // retract half of Update): everything except the profile-store
   // tombstone, which Delete writes and Update replaces.
@@ -282,16 +277,9 @@ class PierPipeline {
   AdaptiveK adaptive_k_;
 
   serve::ClusterIndex clusters_;
-  // Executed-comparison filter: exactly one of the three is active.
-  // Append-only streams use the scalable Bloom filter (or the exact
-  // set under the ablation knob); mutable streams swap the Bloom
-  // filter for its counting variant so deletes can withdraw keys, and
-  // additionally maintain the pair registry (for the exact set too:
-  // erasing keys needs the partner list either way).
-  ScalableBloomFilter executed_filter_;
-  ScalableCountingBloomFilter executed_counting_;
-  std::unordered_set<uint64_t> executed_exact_;
-  PairRegistry executed_pairs_;
+  // Executed-comparison filter, in the mode picked by
+  // exact_executed_filter and mutable_stream (see model/pair_filter.h).
+  PairFilter executed_;
   uint64_t comparisons_emitted_ = 0;
 };
 

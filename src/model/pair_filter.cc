@@ -1,0 +1,159 @@
+#include "model/pair_filter.h"
+
+#include <algorithm>
+#include <istream>
+#include <ostream>
+#include <utility>
+
+#include "util/serial.h"
+
+namespace pier {
+
+namespace {
+// Every hash node and partner list is its own heap block, and the
+// allocator keeps one header word in front of each; at the node sizes
+// here that word is a third of the block, so the estimates count it.
+constexpr size_t kHeapBlockHeader = sizeof(void*);
+}  // namespace
+
+std::vector<ProfileId> PairRegistry::Take(ProfileId id) {
+  auto it = partners_.find(id);
+  if (it == partners_.end()) return {};
+  std::vector<ProfileId> taken = std::move(it->second);
+  partners_.erase(it);
+  for (const ProfileId partner : taken) {
+    auto back = partners_.find(partner);
+    if (back == partners_.end()) continue;
+    auto& list = back->second;
+    auto pos = std::find(list.begin(), list.end(), id);
+    if (pos != list.end()) {
+      *pos = list.back();
+      list.pop_back();
+    }
+    if (list.empty()) partners_.erase(back);
+  }
+  num_pairs_ -= taken.size();
+  return taken;
+}
+
+size_t PairRegistry::ApproxMemoryBytes() const {
+  constexpr size_t kNodeBytes =
+      sizeof(void*) +
+      sizeof(std::pair<const ProfileId, std::vector<ProfileId>>) +
+      kHeapBlockHeader;
+  size_t total = partners_.bucket_count() * sizeof(void*);
+  for (const auto& [id, list] : partners_) {
+    (void)id;
+    total += kNodeBytes + list.capacity() * sizeof(ProfileId) +
+             (list.capacity() > 0 ? kHeapBlockHeader : 0);
+  }
+  return total;
+}
+
+void PairRegistry::Snapshot(std::ostream& out) const {
+  std::vector<ProfileId> ids;
+  ids.reserve(partners_.size());
+  for (const auto& [id, list] : partners_) {
+    (void)list;
+    ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  serial::WriteU64(out, ids.size());
+  for (const ProfileId id : ids) {
+    std::vector<ProfileId> list = partners_.at(id);
+    std::sort(list.begin(), list.end());
+    serial::WriteU32(out, id);
+    serial::WriteVec(out, list, serial::WriteU32);
+  }
+}
+
+bool PairRegistry::Restore(std::istream& in) {
+  if (!partners_.empty()) return false;
+  uint64_t count = 0;
+  if (!serial::ReadU64(in, &count)) return false;
+  uint64_t total = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint32_t id = 0;
+    std::vector<ProfileId> list;
+    if (!serial::ReadU32(in, &id) ||
+        !serial::ReadVec(in, &list, serial::ReadU32)) {
+      return false;
+    }
+    if (list.empty() || partners_.count(id) != 0) return false;
+    total += list.size();
+    partners_.emplace(id, std::move(list));
+  }
+  // Every pair is recorded under both endpoints.
+  if (total % 2 != 0) return false;
+  num_pairs_ = total / 2;
+  return true;
+}
+
+PairFilter::PairFilter(bool exact, bool retractable)
+    : keys_(exact         ? Keys(std::in_place_index<kExact>)
+            : retractable ? Keys(std::in_place_index<kCounting>)
+                          : Keys(std::in_place_index<kBloom>)),
+      retractable_(retractable) {}
+
+size_t PairFilter::Retract(ProfileId id) {
+  const std::vector<ProfileId> partners = pairs_.Take(id);
+  for (const ProfileId partner : partners) {
+    const uint64_t key = PairKey(id, partner);
+    if (auto* counting = std::get_if<kCounting>(&keys_)) {
+      counting->Remove(key);
+    } else if (auto* exact = std::get_if<kExact>(&keys_)) {
+      exact->erase(key);
+    }
+  }
+  return partners.size();
+}
+
+void PairFilter::Snapshot(std::ostream& out) const {
+  if (const auto* bloom = std::get_if<kBloom>(&keys_)) {
+    bloom->Snapshot(out);
+  } else if (const auto* counting = std::get_if<kCounting>(&keys_)) {
+    counting->Snapshot(out);
+  } else {
+    const ExactSet& exact = *std::get_if<kExact>(&keys_);
+    // Sorted for canonical bytes (hash-set iteration order varies).
+    std::vector<uint64_t> keys(exact.begin(), exact.end());
+    std::sort(keys.begin(), keys.end());
+    serial::WriteVec(out, keys, serial::WriteU64);
+  }
+  if (retractable_) pairs_.Snapshot(out);
+}
+
+bool PairFilter::Restore(std::istream& in) {
+  PairFilter restored(keys_.index() == kExact, retractable_);
+  bool ok;
+  if (auto* bloom = std::get_if<kBloom>(&restored.keys_)) {
+    ok = bloom->Restore(in);
+  } else if (auto* counting = std::get_if<kCounting>(&restored.keys_)) {
+    ok = counting->Restore(in);
+  } else {
+    std::vector<uint64_t> keys;
+    ok = serial::ReadVec(in, &keys, serial::ReadU64);
+    std::get_if<kExact>(&restored.keys_)->insert(keys.begin(), keys.end());
+  }
+  if (!ok || (retractable_ && !restored.pairs_.Restore(in))) return false;
+  *this = std::move(restored);
+  return true;
+}
+
+size_t PairFilter::ApproxMemoryBytes() const {
+  size_t bytes = retractable_ ? pairs_.ApproxMemoryBytes() : 0;
+  if (const auto* bloom = std::get_if<kBloom>(&keys_)) {
+    bytes += bloom->ApproxMemoryBytes();
+  } else if (const auto* counting = std::get_if<kCounting>(&keys_)) {
+    bytes += counting->ApproxMemoryBytes();
+  } else {
+    const ExactSet& exact = *std::get_if<kExact>(&keys_);
+    // Bucket array plus one node (next pointer and key) per key.
+    bytes +=
+        exact.bucket_count() * sizeof(void*) +
+        exact.size() * (sizeof(void*) + sizeof(uint64_t) + kHeapBlockHeader);
+  }
+  return bytes;
+}
+
+}  // namespace pier

@@ -46,6 +46,8 @@ ShardedPipeline::ShardedPipeline(ShardedOptions options, const Matcher* matcher,
       matcher_(matcher),
       on_match_(std::move(on_match)),
       tokenizer_(options_.pipeline.tokenizer),
+      delivered_(options_.pipeline.exact_executed_filter,
+                 options_.pipeline.mutable_stream),
       verdict_queue_(options_.verdict_queue_capacity),
       metrics_(options_.pipeline.metrics),
       latency_tracker_(LatencyHistogram(options_.pipeline.metrics),
@@ -246,14 +248,7 @@ void ShardedPipeline::RetractLocked(ProfileId id) {
   }
   // The cross-shard delivered filter: withdraw every delivered pair
   // with this endpoint so a corrected profile's verdicts re-deliver.
-  for (const ProfileId partner : delivered_pairs_.Take(id)) {
-    const uint64_t key = PairKey(id, partner);
-    if (options_.pipeline.exact_executed_filter) {
-      delivered_exact_.erase(key);
-    } else {
-      delivered_counting_.Remove(key);
-    }
-  }
+  delivered_.Retract(id);
   // The serving index: the id reports absence, survivors re-resolve.
   clusters_.RemoveProfile(id);
 }
@@ -457,25 +452,6 @@ void ShardedPipeline::ShardLoop(size_t shard_index) {
   }
 }
 
-bool ShardedPipeline::AlreadyDelivered(const Comparison& c) {
-  const uint64_t key = c.Key();
-  bool newly_added;
-  if (options_.pipeline.exact_executed_filter) {
-    newly_added = delivered_exact_.insert(key).second;
-  } else if (options_.pipeline.mutable_stream) {
-    newly_added = !delivered_counting_.TestAndAdd(key);
-  } else {
-    return delivered_filter_.TestAndAdd(key);
-  }
-  // Mutable streams record the pair exactly once per filter insert so
-  // a retraction can withdraw the key (see core/pier_pipeline.cc for
-  // the same contract on the per-shard filters).
-  if (newly_added && options_.pipeline.mutable_stream) {
-    delivered_pairs_.Add(c.x, c.y);
-  }
-  return !newly_added;
-}
-
 void ShardedPipeline::CombinerLoop() {
   // With one shard there is nothing to dedup: the shard's own
   // executed-comparison filter already guarantees exactly-once
@@ -494,7 +470,7 @@ void ShardedPipeline::CombinerLoop() {
     uint64_t duplicates = 0;
     for (size_t i = 0; i < batch.comparisons.size(); ++i) {
       const Comparison& c = batch.comparisons[i];
-      if (dedup && AlreadyDelivered(c)) {
+      if (dedup && delivered_.TestAndAdd(c.x, c.y)) {
         // A pair sharing blocks owned by two shards was matched by
         // both; deliver the first verdict, drop the echo.
         ++duplicates;
@@ -606,22 +582,11 @@ void ShardedPipeline::SnapshotLocked(persist::SnapshotBuilder& builder) const {
   dictionary_.Snapshot(builder.AddSection("sharded.dictionary"));
   profiles_.Snapshot(builder.AddSection("sharded.profiles"));
   std::ostream& filter = builder.AddSection("sharded.filter");
+  // The leading bool records the exact/Bloom choice; the shard
+  // fingerprints gate mutability, so an append-only pipeline can never
+  // mis-decode a mutable snapshot past its own shard sections.
   serial::WriteBool(filter, options_.pipeline.exact_executed_filter);
-  if (options_.pipeline.exact_executed_filter) {
-    std::vector<uint64_t> keys(delivered_exact_.begin(),
-                               delivered_exact_.end());
-    std::sort(keys.begin(), keys.end());
-    serial::WriteVec(filter, keys, serial::WriteU64);
-  } else if (options_.pipeline.mutable_stream) {
-    delivered_counting_.Snapshot(filter);
-  } else {
-    delivered_filter_.Snapshot(filter);
-  }
-  // Mutable streams carry the retraction registry alongside whichever
-  // filter is active; the shard fingerprints gate the mode, so an
-  // append-only pipeline can never mis-decode a mutable snapshot past
-  // its own shard sections.
-  if (options_.pipeline.mutable_stream) delivered_pairs_.Snapshot(filter);
+  delivered_.Snapshot(filter);
   clusters_.Snapshot(builder.AddSection("sharded.clusters"));
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->pipeline->Snapshot(builder, "shard" + std::to_string(s));
@@ -721,21 +686,7 @@ bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,
         "section 'sharded.filter' mode does not match "
         "options.exact_executed_filter");
   }
-  if (exact) {
-    std::vector<uint64_t> keys;
-    if (!serial::ReadVec(section, &keys, serial::ReadU64)) {
-      return fail("section 'sharded.filter' failed to decode");
-    }
-    delivered_exact_.insert(keys.begin(), keys.end());
-  } else if (options_.pipeline.mutable_stream) {
-    if (!delivered_counting_.Restore(section)) {
-      return fail("section 'sharded.filter' failed to decode");
-    }
-  } else if (!delivered_filter_.Restore(section)) {
-    return fail("section 'sharded.filter' failed to decode");
-  }
-  if (options_.pipeline.mutable_stream &&
-      !delivered_pairs_.Restore(section)) {
+  if (!delivered_.Restore(section)) {
     return fail("section 'sharded.filter' failed to decode");
   }
   if (!reader.Open("sharded.clusters", &section, error) ||

@@ -62,17 +62,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "core/pier_pipeline.h"
-#include "model/pair_registry.h"
+#include "model/pair_filter.h"
 #include "similarity/matcher.h"
 #include "similarity/parallel_executor.h"
 #include "stream/ingest_latency.h"
 #include "stream/shard_queue.h"
-#include "util/counting_bloom_filter.h"
-#include "util/scalable_bloom_filter.h"
 #include "util/stopwatch.h"
 
 namespace pier {
@@ -257,8 +254,6 @@ class ShardedPipeline {
   // section, so the Drain predicate can never observe "nothing queued,
   // everyone idle" while the pop is still in flight.
   void OnMicrobatchPopped(Shard& shard);
-  // Combiner thread only: global cross-shard executed-pair filter.
-  bool AlreadyDelivered(const Comparison& c);
   // Shard owning token `id`, computed once per token from its
   // spelling. Caller holds ingest_mutex_.
   size_t OwnerOf(TokenId id);
@@ -302,14 +297,9 @@ class ShardedPipeline {
   std::unique_ptr<persist::CheckpointManager> checkpointer_;
 
   // Combiner-owned cross-shard executed-pair filter (combiner thread
-  // only while running; router reads/writes it only when quiesced).
-  // Mutable streams swap the Bloom filter for its counting variant and
-  // maintain the pair registry so retraction can withdraw keys (for
-  // the exact set too).
-  ScalableBloomFilter delivered_filter_;
-  ScalableCountingBloomFilter delivered_counting_;
-  std::unordered_set<uint64_t> delivered_exact_;
-  PairRegistry delivered_pairs_;
+  // only while running; router reads/writes it only when quiesced),
+  // in the pipeline options' filter mode.
+  PairFilter delivered_;
 
   // The serving index: written by the router (TrackUpTo) and the
   // combiner (AddMatches), queried lock-free from anywhere.

@@ -1,35 +1,21 @@
-// A Bloom filter over 64-bit keys, used as building block of the
-// scalable Bloom filter (see scalable_bloom_filter.h) that implements
-// the comparison filter CF of the I-PBS algorithm (Algorithm 3 of the
-// paper; technique from Gazzarri & Herschel, EDBT 2020 [16]).
+// A split-block Bloom filter over 64-bit keys, the append-only slice
+// of the scalable Bloom filter (see scalable_bloom_filter.h) that
+// implements the comparison filter CF of the I-PBS algorithm
+// (Algorithm 3 of the paper; technique from Gazzarri & Herschel, EDBT
+// 2020 [16]) and the executed-comparison filter.
 //
-// Three bit layouts share the class (see BloomLayout):
+// Layout: one fastrange hash picks a 512-bit block (one cache line);
+// all k probe bits land inside that block, addressed by 9-bit slices
+// of a second hash. A query touches exactly one cache line instead of
+// k, at the cost of a slightly higher false-positive rate for the same
+// bit count (~1.2-2x at typical k; the scalable wrapper's tightening
+// schedule absorbs it).
 //
-//  - kFlatModulo: the original layout -- k double-hashed probes over
-//    the whole array, each mapped with `% num_bits`. Kept only so
-//    snapshots written before the layout flag existed restore with
-//    the exact bit mapping they were built with; new filters never
-//    use it (an integer divide per probe is the hot-path cost).
-//  - kFlatFastrange: same probe sequence, but mapped with Lemire's
-//    fastrange ((h * num_bits) >> 64) -- a multiply instead of a
-//    divide. Bit positions differ from kFlatModulo, which is why the
-//    mapping is a persisted format flag and not a silent upgrade:
-//    restoring modulo-era bits under fastrange probes would produce
-//    false negatives, the one error class a Bloom filter must never
-//    emit.
-//  - kBlocked512: split-block layout. One fastrange hash picks a
-//    512-bit block (one cache line); all k probe bits land inside
-//    that block, addressed by 9-bit slices of the second hash. A
-//    query touches exactly one cache line instead of k, at the cost
-//    of a slightly higher false-positive rate for the same bit count
-//    (~1.2-2x at typical k; the scalable wrapper's tightening
-//    schedule absorbs it). This is the layout the executed-comparison
-//    filter uses at paper scale.
-//
-// Snapshot compatibility: the pre-flag format started with a nonzero
-// expected_items u64. New snapshots start with a zero u64 sentinel
-// followed by a layout byte, so FromSnapshot can accept both: nonzero
-// first word == legacy kFlatModulo payload.
+// Snapshot format: a zero u64 sentinel and the layout byte 2 lead the
+// sizing fields and the bit array. Both are constants now that
+// blocked-512 is the only layout; they keep the bytes of existing
+// snapshots, and a payload without them (the retired flat layouts'
+// format) is rejected.
 
 #ifndef PIER_UTIL_BLOOM_FILTER_H_
 #define PIER_UTIL_BLOOM_FILTER_H_
@@ -45,18 +31,11 @@
 
 namespace pier {
 
-enum class BloomLayout : uint8_t {
-  kFlatModulo = 0,
-  kFlatFastrange = 1,
-  kBlocked512 = 2,
-};
-
 class BloomFilter {
  public:
   // Sizes the filter for `expected_items` insertions at false-positive
   // probability `fp_rate` (0 < fp_rate < 1).
-  BloomFilter(size_t expected_items, double fp_rate,
-              BloomLayout layout = BloomLayout::kFlatFastrange);
+  BloomFilter(size_t expected_items, double fp_rate);
 
   // Inserts a key. Counts insertions so the owner can detect when the
   // filter reaches its design capacity.
@@ -72,38 +51,29 @@ class BloomFilter {
 
   size_t num_bits() const { return num_bits_; }
   int num_hashes() const { return num_hashes_; }
-  BloomLayout layout() const { return layout_; }
 
   // Estimated memory footprint in bytes.
   size_t MemoryBytes() const { return bits_.size() * sizeof(uint64_t); }
 
-  // Serializes layout, sizing parameters, insertion count, and the bit
-  // array (little-endian; see util/serial.h). kFlatModulo filters are
-  // written in the legacy (pre-layout-flag) format, everything else in
-  // the sentinel-prefixed format described in the file comment.
+  // Serializes the sentinel, layout byte, sizing parameters, insertion
+  // count and the bit array (little-endian; see util/serial.h).
   void Snapshot(std::ostream& out) const;
 
-  // Reconstructs a filter from a Snapshot payload (either format);
-  // null on any decode failure or inconsistent field (e.g. word count
-  // not matching the recorded bit count).
+  // Reconstructs a filter from a Snapshot payload; null on any decode
+  // failure or inconsistent field (e.g. word count not matching the
+  // recorded bit count).
   static std::unique_ptr<BloomFilter> FromSnapshot(std::istream& in);
 
-  // Folds another filter of identical layout and sizing into this one
-  // (bitwise OR), so every key Add()ed to either side is MayContain()
-  // here -- the shard-merge consolidation primitive. The insertion
-  // count saturates at expected_items(), which keeps a slice sequence
-  // Restore-consistent (non-final slices stay exactly full); the
-  // realized false-positive rate can exceed design when both sides
-  // were heavily loaded. Returns false, leaving this filter untouched,
-  // when the layout or sizing parameters differ.
-  bool UnionFrom(const BloomFilter& other);
+  // True if this filter has exactly the sizing the constructor picks
+  // for (expected_items, fp_rate): how a snapshot reader validates
+  // recorded dimensions without allocating a reference filter.
+  bool SizedFor(size_t expected_items, double fp_rate) const;
 
-  // Mirror of the constructor's sizing, exposed so a snapshot reader
-  // can validate recorded dimensions without allocating: the (bits,
-  // hashes) this class picks for the given parameters.
-  static void ExpectedSizing(size_t expected_items, double fp_rate,
-                             BloomLayout layout, size_t* num_bits,
-                             int* num_hashes);
+  // The zero sentinel and layout byte that lead this filter's and the
+  // scalable wrapper's snapshots. ReadFormatPrefix is false on
+  // anything else, e.g. a payload of the retired flat layouts.
+  static void WriteFormatPrefix(std::ostream& out);
+  static bool ReadFormatPrefix(std::istream& in);
 
  private:
   static constexpr size_t kBlockBits = 512;
@@ -111,26 +81,19 @@ class BloomFilter {
 
   BloomFilter() = default;  // for FromSnapshot
 
-  // Lemire fastrange: maps a 64-bit hash onto [0, n) with a multiply
-  // and shift instead of a modulo.
-  static size_t FastRange(uint64_t h, size_t n) {
-    return static_cast<size_t>(
-        (static_cast<unsigned __int128>(h) * n) >> 64);
+  // The (bits, hashes) the constructor picks for the parameters.
+  static void ExpectedSizing(size_t expected_items, double fp_rate,
+                             size_t* num_bits, int* num_hashes);
+
+  // The cache line a key's probes land in: Lemire fastrange maps h1
+  // onto the block count with a multiply and shift.
+  size_t BlockOffset(uint64_t h1) const {
+    const size_t blocks = num_bits_ / kBlockBits;
+    return static_cast<size_t>((static_cast<unsigned __int128>(h1) * blocks) >>
+                               64) *
+           kBlockWords;
   }
 
-  size_t BitIndex(uint64_t h1, uint64_t h2, int i) const {
-    // Double hashing: g_i(x) = h1 + i * h2 (Kirsch & Mitzenmacher).
-    const uint64_t g = h1 + static_cast<uint64_t>(i) * h2;
-    if (layout_ == BloomLayout::kFlatModulo) return g % num_bits_;
-    // Fastrange keeps only the HIGH bits of its input, and those step
-    // arithmetically across the probe sequence (step = top bits of
-    // h2), clustering the probes whenever that step is small. One
-    // extra mix decorrelates them and is still far cheaper than the
-    // modulo divide it replaces.
-    return FastRange(Mix64(g), num_bits_);
-  }
-
-  BloomLayout layout_ = BloomLayout::kFlatFastrange;
   size_t expected_items_ = 0;
   size_t num_bits_ = 0;
   int num_hashes_ = 0;

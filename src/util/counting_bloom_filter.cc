@@ -4,7 +4,6 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <utility>
 
 #include "util/check.h"
 #include "util/hashing.h"
@@ -14,22 +13,35 @@ namespace pier {
 
 namespace {
 constexpr double kLn2 = 0.6931471805599453;
+
+// The flat filter sizing: cells for `fp_rate` at `expected_items`
+// (at least 64), and k derived from the clamped cell count.
+void ExpectedSizing(size_t expected_items, double fp_rate, size_t* num_cells,
+                    int* num_hashes) {
+  const double n = static_cast<double>(expected_items);
+  const double m = std::ceil(-n * std::log(fp_rate) / (kLn2 * kLn2));
+  *num_cells = std::max<size_t>(static_cast<size_t>(m), 64);
+  *num_hashes = std::max(
+      1,
+      static_cast<int>(std::round(static_cast<double>(*num_cells) / n * kLn2)));
+}
 }  // namespace
 
 CountingBloomFilter::CountingBloomFilter(size_t expected_items, double fp_rate)
     : expected_items_(expected_items) {
   PIER_CHECK(expected_items > 0);
   PIER_CHECK(fp_rate > 0.0 && fp_rate < 1.0);
-  // Identical sizing to BloomFilter so the memory ratio against the
-  // append-only filter is exactly the 2-bit-per-cell factor.
-  const double n = static_cast<double>(expected_items);
-  const double m = std::ceil(-n * std::log(fp_rate) / (kLn2 * kLn2));
-  num_cells_ = static_cast<size_t>(m);
-  if (num_cells_ < 64) num_cells_ = 64;
-  num_hashes_ = static_cast<int>(
-      std::round(static_cast<double>(num_cells_) / n * kLn2));
-  if (num_hashes_ < 1) num_hashes_ = 1;
+  ExpectedSizing(expected_items, fp_rate, &num_cells_, &num_hashes_);
   words_.assign((num_cells_ + 31) / 32, 0);
+}
+
+bool CountingBloomFilter::SizedFor(size_t expected_items,
+                                   double fp_rate) const {
+  size_t cells = 0;
+  int hashes = 0;
+  ExpectedSizing(expected_items, fp_rate, &cells, &hashes);
+  return expected_items_ == expected_items && num_cells_ == cells &&
+         num_hashes_ == hashes;
 }
 
 void CountingBloomFilter::Add(uint64_t key) {
@@ -64,23 +76,6 @@ bool CountingBloomFilter::MayContain(uint64_t key) const {
   for (int i = 0; i < num_hashes_; ++i) {
     if (CellValue(CellIndex(h1, h2, i)) == 0) return false;
   }
-  return true;
-}
-
-bool CountingBloomFilter::UnionFrom(const CountingBloomFilter& other) {
-  if (other.expected_items_ != expected_items_ ||
-      other.num_cells_ != num_cells_ || other.num_hashes_ != num_hashes_) {
-    return false;
-  }
-  if (&other == this) return true;
-  for (size_t cell = 0; cell < num_cells_; ++cell) {
-    const uint32_t sum = CellValue(cell) + other.CellValue(cell);
-    SetCellValue(cell, sum > 3 ? 3u : sum);
-  }
-  num_insertions_ =
-      std::min(expected_items_, num_insertions_ + other.num_insertions_);
-  num_removals_ =
-      std::min(num_insertions_, num_removals_ + other.num_removals_);
   return true;
 }
 
@@ -120,187 +115,6 @@ std::unique_ptr<CountingBloomFilter> CountingBloomFilter::FromSnapshot(
   filter->num_insertions_ = num_insertions;
   filter->num_removals_ = num_removals;
   return filter;
-}
-
-ScalableCountingBloomFilter::ScalableCountingBloomFilter(
-    const Options& options)
-    : options_(options) {
-  PIER_CHECK(options_.initial_capacity > 0);
-  PIER_CHECK(options_.fp_rate > 0.0 && options_.fp_rate < 1.0);
-  PIER_CHECK(options_.growth > 1.0);
-  PIER_CHECK(options_.tightening > 0.0 && options_.tightening < 1.0);
-  AddSlice();
-}
-
-void ScalableCountingBloomFilter::AddSlice() {
-  const size_t i = slices_.size();
-  const double capacity = static_cast<double>(options_.initial_capacity) *
-                          std::pow(options_.growth, static_cast<double>(i));
-  const double p0 = options_.fp_rate * (1.0 - options_.tightening);
-  const double error =
-      p0 * std::pow(options_.tightening, static_cast<double>(i));
-  slices_.push_back(std::make_unique<CountingBloomFilter>(
-      static_cast<size_t>(capacity), error));
-}
-
-void ScalableCountingBloomFilter::Add(uint64_t key) {
-  if (slices_.back()->AtCapacity()) AddSlice();
-  slices_.back()->Add(key);
-  ++num_insertions_;
-}
-
-bool ScalableCountingBloomFilter::Remove(uint64_t key) {
-  // A key was inserted into exactly one slice (the slice current at
-  // insert time), so decrement exactly one: the newest slice that
-  // claims the key. Decrementing every claiming slice would let a
-  // false-positive hit in a sibling slice clear cells owned by live
-  // keys -- a false negative. Picking one slice bounds the damage the
-  // safe way: when the pick is itself a false positive (probability
-  // bounded by the tightened per-slice error rates), the true slice
-  // keeps the key and it merely lingers until the cells decay.
-  for (auto it = slices_.rbegin(); it != slices_.rend(); ++it) {
-    if ((*it)->Remove(key)) {
-      ++num_removals_;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ScalableCountingBloomFilter::MayContain(uint64_t key) const {
-  for (auto it = slices_.rbegin(); it != slices_.rend(); ++it) {
-    if ((*it)->MayContain(key)) return true;
-  }
-  return false;
-}
-
-bool ScalableCountingBloomFilter::TestAndAdd(uint64_t key) {
-  if (MayContain(key)) return true;
-  Add(key);
-  return false;
-}
-
-bool ScalableCountingBloomFilter::UnionFrom(
-    const ScalableCountingBloomFilter& other) {
-  if (other.options_.initial_capacity != options_.initial_capacity ||
-      other.options_.fp_rate != options_.fp_rate ||
-      other.options_.growth != options_.growth ||
-      other.options_.tightening != options_.tightening) {
-    return false;
-  }
-  if (&other == this) return true;
-  const size_t shared = std::min(slices_.size(), other.slices_.size());
-  for (size_t i = 0; i < shared; ++i) {
-    // Equal options make slice i of both sides structurally identical,
-    // so the per-slice union cannot fail.
-    PIER_CHECK(slices_[i]->UnionFrom(*other.slices_[i]));
-  }
-  for (size_t i = shared; i < other.slices_.size(); ++i) {
-    slices_.push_back(
-        std::make_unique<CountingBloomFilter>(*other.slices_[i]));
-  }
-  // Recompute the totals from the (saturated) per-slice counts; each
-  // slice keeps removals <= insertions, so the sums do too and the
-  // Restore invariants hold.
-  num_insertions_ = 0;
-  num_removals_ = 0;
-  for (const auto& slice : slices_) {
-    num_insertions_ += slice->num_insertions();
-    num_removals_ += slice->num_removals();
-  }
-  return true;
-}
-
-size_t ScalableCountingBloomFilter::MemoryBytes() const {
-  size_t total = 0;
-  for (const auto& slice : slices_) total += slice->MemoryBytes();
-  return total;
-}
-
-size_t ScalableCountingBloomFilter::ApproxMemoryBytes() const {
-  return MemoryBytes() +
-         slices_.capacity() * sizeof(std::unique_ptr<CountingBloomFilter>) +
-         slices_.size() * sizeof(CountingBloomFilter);
-}
-
-void ScalableCountingBloomFilter::Snapshot(std::ostream& out) const {
-  serial::WriteU64(out, options_.initial_capacity);
-  serial::WriteF64(out, options_.fp_rate);
-  serial::WriteF64(out, options_.growth);
-  serial::WriteF64(out, options_.tightening);
-  serial::WriteU64(out, num_insertions_);
-  serial::WriteU64(out, num_removals_);
-  serial::WriteU64(out, slices_.size());
-  for (const auto& slice : slices_) slice->Snapshot(out);
-}
-
-bool ScalableCountingBloomFilter::Restore(std::istream& in) {
-  Options options;
-  uint64_t initial_capacity = 0;
-  uint64_t num_insertions = 0;
-  uint64_t num_removals = 0;
-  uint64_t num_slices = 0;
-  if (!serial::ReadU64(in, &initial_capacity) ||
-      !serial::ReadF64(in, &options.fp_rate) ||
-      !serial::ReadF64(in, &options.growth) ||
-      !serial::ReadF64(in, &options.tightening) ||
-      !serial::ReadU64(in, &num_insertions) ||
-      !serial::ReadU64(in, &num_removals) ||
-      !serial::ReadU64(in, &num_slices)) {
-    return false;
-  }
-  options.initial_capacity = initial_capacity;
-  if (options.initial_capacity == 0 || !(options.fp_rate > 0.0) ||
-      !(options.fp_rate < 1.0) || !(options.growth > 1.0) ||
-      !(options.tightening > 0.0) || !(options.tightening < 1.0) ||
-      num_slices == 0 || num_slices > 64 || num_removals > num_insertions) {
-    return false;
-  }
-  std::vector<std::unique_ptr<CountingBloomFilter>> slices;
-  slices.reserve(num_slices);
-  uint64_t slice_insertions = 0;
-  for (uint64_t i = 0; i < num_slices; ++i) {
-    auto slice = CountingBloomFilter::FromSnapshot(in);
-    if (slice == nullptr) return false;
-    // Mirror AddSlice + the constructor's sizing, evaluated
-    // arithmetically so a hostile snapshot cannot force a huge
-    // reference allocation (same scheme as ScalableBloomFilter).
-    const double capacity = static_cast<double>(options.initial_capacity) *
-                            std::pow(options.growth, static_cast<double>(i));
-    const double p0 = options.fp_rate * (1.0 - options.tightening);
-    const double error =
-        p0 * std::pow(options.tightening, static_cast<double>(i));
-    if (!(error > 0.0) || !(error < 1.0)) return false;
-    if (!(capacity >= 1.0) || capacity > 1e18) return false;
-    const size_t cap = static_cast<size_t>(capacity);
-    const double n = static_cast<double>(cap);
-    const double m = std::ceil(-n * std::log(error) / (kLn2 * kLn2));
-    if (!(m >= 0.0) || m > 1e18) return false;
-    size_t expect_cells = static_cast<size_t>(m);
-    if (expect_cells < 64) expect_cells = 64;
-    int expect_hashes = static_cast<int>(
-        std::round(static_cast<double>(expect_cells) / n * kLn2));
-    if (expect_hashes < 1) expect_hashes = 1;
-    if (slice->expected_items() != cap || slice->num_cells() != expect_cells ||
-        slice->num_hashes() != expect_hashes) {
-      return false;
-    }
-    // A new slice only ever grows once the previous one reached its
-    // design capacity, and insertions land in the newest slice.
-    if (i + 1 < num_slices) {
-      if (slice->num_insertions() != slice->expected_items()) return false;
-    } else if (slice->num_insertions() > slice->expected_items()) {
-      return false;
-    }
-    slice_insertions += slice->num_insertions();
-    slices.push_back(std::move(slice));
-  }
-  if (slice_insertions != num_insertions) return false;
-  options_ = options;
-  num_insertions_ = num_insertions;
-  num_removals_ = num_removals;
-  slices_ = std::move(slices);
-  return true;
 }
 
 }  // namespace pier

@@ -1,25 +1,27 @@
-// Deletable set membership for mutable streams: a scalable Bloom
-// filter (same slice-growth / error-tightening schedule as
-// scalable_bloom_filter.h) whose slices store 2-bit saturating
-// counters instead of single bits, so keys can be removed again.
+// Deletable set membership for mutable streams: the 2-bit counting
+// slice of the scalable filter template (scalable_bloom_filter.h),
+// stored as saturating counters instead of single bits so keys can be
+// removed again. ScalableCountingBloomFilter is that template over
+// this slice.
 //
-// The PIER pipeline uses this as the executed-comparison filter when
-// `mutable_stream` is on: deleting a record must forget the
-// comparisons it participated in, otherwise a corrected record that is
-// re-ingested would have its comparisons suppressed forever and the
-// delete-then-replay oracle would diverge.
+// The PIER pipeline uses it (through PairFilter, model/pair_filter.h)
+// as the executed-comparison filter when `mutable_stream` is on:
+// deleting a record must forget the comparisons it participated in,
+// otherwise a corrected record that is re-ingested would have its
+// comparisons suppressed forever and the delete-then-replay oracle
+// would diverge.
 //
 // Counter layout: 2 bits per cell (32 cells per uint64_t word), cell
-// count and hash count derived exactly like BloomFilter derives them
-// from (expected_items, fp_rate). A counter that reaches 3 saturates
-// and becomes sticky: it is never decremented again, which preserves
-// the no-false-negatives guarantee for keys still present at the cost
-// of the filter slowly densifying under heavy churn (the fraction of
+// count and hash count derived from (expected_items, fp_rate) like a
+// flat Bloom filter's bit and hash counts, with k double-hashed probes
+// mapped by modulo. A counter that reaches 3 saturates and becomes
+// sticky: it is never decremented again, which preserves the
+// no-false-negatives guarantee for keys still present at the cost of
+// the filter slowly densifying under heavy churn (the fraction of
 // cells reaching 3 is small at design load). Removing a key that was
-// never added can clear cells shared with live keys — the standard
-// counting-filter caveat — so callers must pair each Remove with a
-// prior Add (the pipeline guarantees this via its executed-pair
-// registry).
+// never added can clear cells shared with live keys -- the standard
+// counting-filter caveat -- so callers must pair each Remove with a
+// prior Add (PairFilter guarantees this via its pair registry).
 
 #ifndef PIER_UTIL_COUNTING_BLOOM_FILTER_H_
 #define PIER_UTIL_COUNTING_BLOOM_FILTER_H_
@@ -30,13 +32,14 @@
 #include <memory>
 #include <vector>
 
+#include "util/scalable_bloom_filter.h"
+
 namespace pier {
 
 class CountingBloomFilter {
  public:
   // Sizes the filter for `expected_items` insertions at false-positive
-  // probability `fp_rate`, with the same cell/hash counts a
-  // BloomFilter of identical parameters would use.
+  // probability `fp_rate`.
   CountingBloomFilter(size_t expected_items, double fp_rate);
 
   void Add(uint64_t key);
@@ -55,9 +58,6 @@ class CountingBloomFilter {
   // the realized error rate drift above design.
   bool AtCapacity() const { return num_insertions_ >= expected_items_; }
 
-  size_t num_cells() const { return num_cells_; }
-  int num_hashes() const { return num_hashes_; }
-
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
 
   void Snapshot(std::ostream& out) const;
@@ -66,15 +66,14 @@ class CountingBloomFilter {
   // constructor would have produced.
   static std::unique_ptr<CountingBloomFilter> FromSnapshot(std::istream& in);
 
-  // Folds another filter of identical sizing into this one by
-  // saturating per-cell addition (min(3, a + b)), so every key live on
-  // either side stays MayContain() here. Cells that saturate become
-  // sticky, per the filter's contract. Insertion/removal bookkeeping
-  // saturates the same way counts do (insertions at expected_items(),
-  // removals at the new insertion count), keeping a slice sequence
-  // Restore-consistent. Returns false, leaving this filter untouched,
-  // when the sizing parameters differ.
-  bool UnionFrom(const CountingBloomFilter& other);
+  // True if this filter has exactly the sizing the constructor picks
+  // for (expected_items, fp_rate).
+  bool SizedFor(size_t expected_items, double fp_rate) const;
+
+  // Counting snapshots carry no format prefix (see
+  // ScalableFilter::Snapshot).
+  static void WriteFormatPrefix(std::ostream&) {}
+  static bool ReadFormatPrefix(std::istream&) { return true; }
 
  private:
   CountingBloomFilter() = default;  // for FromSnapshot
@@ -100,64 +99,8 @@ class CountingBloomFilter {
   std::vector<uint64_t> words_;
 };
 
-// Scalable wrapper mirroring ScalableBloomFilter's growth schedule and
-// Snapshot/Restore framing, plus Remove.
-class ScalableCountingBloomFilter {
- public:
-  struct Options {
-    size_t initial_capacity = 4096;
-    double fp_rate = 0.01;
-    double growth = 2.0;
-    double tightening = 0.9;
-  };
-
-  ScalableCountingBloomFilter() : ScalableCountingBloomFilter(Options()) {}
-  explicit ScalableCountingBloomFilter(const Options& options);
-
-  void Add(uint64_t key);
-
-  // Removes the key from the newest slice that may contain it (a key
-  // lives in exactly one slice, and newer slices hold most keys).
-  // When the picked slice is a false-positive hit the true slice keeps
-  // the key -- it lingers, the safe direction -- at the cost of a few
-  // collateral cell decrements, with probability bounded by the
-  // tightened per-slice error rates. Returns true if a slice was
-  // decremented.
-  bool Remove(uint64_t key);
-
-  bool MayContain(uint64_t key) const;
-
-  // Returns true if the key was (possibly) already present; otherwise
-  // inserts it and returns false.
-  bool TestAndAdd(uint64_t key);
-
-  size_t num_slices() const { return slices_.size(); }
-  size_t num_insertions() const { return num_insertions_; }
-  size_t num_removals() const { return num_removals_; }
-  size_t MemoryBytes() const;
-  size_t ApproxMemoryBytes() const;
-
-  void Snapshot(std::ostream& out) const;
-
-  // Restores a Snapshot payload, validating options and every slice's
-  // sizing/insertion bookkeeping against what the growth schedule
-  // would have produced. Returns false on any failure.
-  bool Restore(std::istream& in);
-
-  // Counting analogue of ScalableBloomFilter::UnionFrom: requires
-  // identical Options, unions shared slices cell-wise (saturating) and
-  // deep-copies `other`'s extra slices. Returns false without
-  // modifying anything on an options mismatch.
-  bool UnionFrom(const ScalableCountingBloomFilter& other);
-
- private:
-  void AddSlice();
-
-  Options options_;
-  std::vector<std::unique_ptr<CountingBloomFilter>> slices_;
-  size_t num_insertions_ = 0;
-  size_t num_removals_ = 0;
-};
+extern template class ScalableFilter<CountingBloomFilter>;
+using ScalableCountingBloomFilter = ScalableFilter<CountingBloomFilter>;
 
 }  // namespace pier
 

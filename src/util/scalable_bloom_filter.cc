@@ -1,183 +1,144 @@
 #include "util/scalable_bloom_filter.h"
 
-#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
 #include <utility>
 
 #include "util/check.h"
+#include "util/counting_bloom_filter.h"
 #include "util/serial.h"
 
 namespace pier {
 
 namespace {
 constexpr double kLn2 = 0.6931471805599453;
+
+// The constructor's preconditions, as a predicate Restore can reject
+// on (a corrupt snapshot must never take the process down).
+bool ValidOptions(const ScalableFilterOptions& o) {
+  return o.initial_capacity > 0 && o.fp_rate > 0.0 && o.fp_rate < 1.0 &&
+         o.growth > 1.0 && o.tightening > 0.0 && o.tightening < 1.0;
+}
+
+// The growth schedule: slice i's design capacity and error rate.
+void SliceSchedule(const ScalableFilterOptions& o, size_t i, double* capacity,
+                   double* error) {
+  *capacity = static_cast<double>(o.initial_capacity) *
+              std::pow(o.growth, static_cast<double>(i));
+  *error = o.fp_rate * (1.0 - o.tightening) *
+           std::pow(o.tightening, static_cast<double>(i));
+}
 }  // namespace
 
-ScalableBloomFilter::ScalableBloomFilter(const Options& options)
+template <typename Slice>
+ScalableFilter<Slice>::ScalableFilter(const Options& options)
     : options_(options) {
-  PIER_CHECK(options_.initial_capacity > 0);
-  PIER_CHECK(options_.fp_rate > 0.0 && options_.fp_rate < 1.0);
-  PIER_CHECK(options_.growth > 1.0);
-  PIER_CHECK(options_.tightening > 0.0 && options_.tightening < 1.0);
+  PIER_CHECK(ValidOptions(options_));
   AddSlice();
 }
 
-void ScalableBloomFilter::AddSlice() {
-  const size_t i = slices_.size();
-  const double capacity = static_cast<double>(options_.initial_capacity) *
-                          std::pow(options_.growth, static_cast<double>(i));
-  const double p0 = options_.fp_rate * (1.0 - options_.tightening);
-  const double error =
-      p0 * std::pow(options_.tightening, static_cast<double>(i));
-  slices_.push_back(std::make_unique<BloomFilter>(
-      static_cast<size_t>(capacity), error, options_.layout));
+template <typename Slice>
+void ScalableFilter<Slice>::AddSlice() {
+  double capacity = 0.0;
+  double error = 0.0;
+  SliceSchedule(options_, slices_.size(), &capacity, &error);
+  slices_.push_back(
+      std::make_unique<Slice>(static_cast<size_t>(capacity), error));
 }
 
-void ScalableBloomFilter::Add(uint64_t key) {
+template <typename Slice>
+void ScalableFilter<Slice>::Add(uint64_t key) {
   if (slices_.back()->AtCapacity()) AddSlice();
   slices_.back()->Add(key);
   ++num_insertions_;
 }
 
-bool ScalableBloomFilter::MayContain(uint64_t key) const {
+template <typename Slice>
+bool ScalableFilter<Slice>::MayContain(uint64_t key) const {
   for (auto it = slices_.rbegin(); it != slices_.rend(); ++it) {
     if ((*it)->MayContain(key)) return true;
   }
   return false;
 }
 
-bool ScalableBloomFilter::TestAndAdd(uint64_t key) {
+template <typename Slice>
+bool ScalableFilter<Slice>::TestAndAdd(uint64_t key) {
   if (MayContain(key)) return true;
   Add(key);
   return false;
 }
 
-bool ScalableBloomFilter::UnionFrom(const ScalableBloomFilter& other) {
-  if (other.options_.initial_capacity != options_.initial_capacity ||
-      other.options_.fp_rate != options_.fp_rate ||
-      other.options_.growth != options_.growth ||
-      other.options_.tightening != options_.tightening ||
-      other.options_.layout != options_.layout) {
-    return false;
-  }
-  if (&other == this) return true;
-  const size_t shared = std::min(slices_.size(), other.slices_.size());
-  for (size_t i = 0; i < shared; ++i) {
-    // Equal options make slice i of both sides structurally identical,
-    // so the per-slice union cannot fail.
-    PIER_CHECK(slices_[i]->UnionFrom(*other.slices_[i]));
-  }
-  for (size_t i = shared; i < other.slices_.size(); ++i) {
-    slices_.push_back(std::make_unique<BloomFilter>(*other.slices_[i]));
-  }
-  // Saturating per-slice counts keep the Restore invariant (every
-  // non-final slice exactly full): whenever slice i is non-final on
-  // the longer side, its union saturates at the slice capacity.
-  num_insertions_ = 0;
-  for (const auto& slice : slices_) num_insertions_ += slice->num_insertions();
-  return true;
-}
-
-size_t ScalableBloomFilter::MemoryBytes() const {
+template <typename Slice>
+size_t ScalableFilter<Slice>::MemoryBytes() const {
   size_t total = 0;
   for (const auto& slice : slices_) total += slice->MemoryBytes();
   return total;
 }
 
-size_t ScalableBloomFilter::ApproxMemoryBytes() const {
-  return MemoryBytes() +
-         slices_.capacity() * sizeof(std::unique_ptr<BloomFilter>) +
-         slices_.size() * sizeof(BloomFilter);
+template <typename Slice>
+size_t ScalableFilter<Slice>::ApproxMemoryBytes() const {
+  return MemoryBytes() + slices_.capacity() * sizeof(std::unique_ptr<Slice>) +
+         slices_.size() * sizeof(Slice);
 }
 
-void ScalableBloomFilter::Snapshot(std::ostream& out) const {
-  if (options_.layout != BloomLayout::kFlatModulo) {
-    // Sentinel-prefixed format (see bloom_filter.h): a zero u64 --
-    // impossible as the legacy leading initial_capacity field -- then
-    // the layout byte. kFlatModulo keeps the legacy byte stream so a
-    // snapshot restored from the pre-flag era re-snapshots to
-    // identical bytes.
-    serial::WriteU64(out, 0);
-    serial::WriteU8(out, static_cast<uint8_t>(options_.layout));
-  }
+template <typename Slice>
+void ScalableFilter<Slice>::Snapshot(std::ostream& out) const {
+  Slice::WriteFormatPrefix(out);
   serial::WriteU64(out, options_.initial_capacity);
   serial::WriteF64(out, options_.fp_rate);
   serial::WriteF64(out, options_.growth);
   serial::WriteF64(out, options_.tightening);
   serial::WriteU64(out, num_insertions_);
+  if constexpr (kDeletable) serial::WriteU64(out, num_removals_);
   serial::WriteU64(out, slices_.size());
   for (const auto& slice : slices_) slice->Snapshot(out);
 }
 
-bool ScalableBloomFilter::Restore(std::istream& in) {
+template <typename Slice>
+bool ScalableFilter<Slice>::Restore(std::istream& in) {
   Options options;
   uint64_t initial_capacity = 0;
   uint64_t num_insertions = 0;
+  uint64_t num_removals = 0;
   uint64_t num_slices = 0;
-  if (!serial::ReadU64(in, &initial_capacity)) return false;
-  if (initial_capacity == 0) {
-    // Sentinel-prefixed format: layout byte, then the regular fields.
-    uint8_t layout = 0;
-    if (!serial::ReadU8(in, &layout) ||
-        layout > static_cast<uint8_t>(BloomLayout::kBlocked512) ||
-        !serial::ReadU64(in, &initial_capacity)) {
-      return false;
-    }
-    options.layout = static_cast<BloomLayout>(layout);
-  } else {
-    // Legacy payload: every slice was written with the modulo mapping.
-    options.layout = BloomLayout::kFlatModulo;
-  }
-  if (!serial::ReadF64(in, &options.fp_rate) ||
+  if (!Slice::ReadFormatPrefix(in) || !serial::ReadU64(in, &initial_capacity) ||
+      !serial::ReadF64(in, &options.fp_rate) ||
       !serial::ReadF64(in, &options.growth) ||
       !serial::ReadF64(in, &options.tightening) ||
-      !serial::ReadU64(in, &num_insertions) ||
-      !serial::ReadU64(in, &num_slices)) {
+      !serial::ReadU64(in, &num_insertions)) {
     return false;
   }
+  if constexpr (kDeletable) {
+    if (!serial::ReadU64(in, &num_removals)) return false;
+  }
+  if (!serial::ReadU64(in, &num_slices)) return false;
   options.initial_capacity = initial_capacity;
-  // Mirror the constructor's PIER_CHECKs, but reject instead of abort:
-  // a corrupt snapshot must never take the process down.
-  if (options.initial_capacity == 0 || !(options.fp_rate > 0.0) ||
-      !(options.fp_rate < 1.0) || !(options.growth > 1.0) ||
-      !(options.tightening > 0.0) || !(options.tightening < 1.0) ||
-      num_slices == 0 || num_slices > 64) {
+  if (!ValidOptions(options) || num_slices == 0 || num_slices > 64 ||
+      num_removals > num_insertions) {
     return false;
   }
-  std::vector<std::unique_ptr<BloomFilter>> slices;
+  std::vector<std::unique_ptr<Slice>> slices;
   slices.reserve(num_slices);
   uint64_t slice_insertions = 0;
   for (uint64_t i = 0; i < num_slices; ++i) {
-    auto slice = BloomFilter::FromSnapshot(in);
+    auto slice = Slice::FromSnapshot(in);
     if (slice == nullptr) return false;
-    // Mirror AddSlice + the BloomFilter constructor: slice i must be
-    // sized exactly as the growth schedule would have sized it,
-    // otherwise the snapshot was not produced by this implementation.
-    // Evaluated arithmetically (no reference filter is constructed) so
-    // a hostile snapshot cannot force a huge allocation here; bounds
-    // on the doubles keep the casts below defined.
-    const double capacity = static_cast<double>(options.initial_capacity) *
-                            std::pow(options.growth, static_cast<double>(i));
-    const double p0 = options.fp_rate * (1.0 - options.tightening);
-    const double error =
-        p0 * std::pow(options.tightening, static_cast<double>(i));
+    // Slice i must be sized exactly as the growth schedule would have
+    // sized it, otherwise the snapshot was not produced by this
+    // implementation. Evaluated arithmetically (no reference slice is
+    // constructed) so a hostile snapshot cannot force a huge
+    // allocation here; bounds on the doubles keep the casts defined.
+    double capacity = 0.0;
+    double error = 0.0;
+    SliceSchedule(options, i, &capacity, &error);
     if (!(error > 0.0) || !(error < 1.0)) return false;
     if (!(capacity >= 1.0) || capacity > 1e18) return false;
     const size_t cap = static_cast<size_t>(capacity);
-    const double n = static_cast<double>(cap);
-    const double m = std::ceil(-n * std::log(error) / (kLn2 * kLn2));
+    const double m =
+        std::ceil(-static_cast<double>(cap) * std::log(error) / (kLn2 * kLn2));
     if (!(m >= 0.0) || m > 1e18) return false;
-    size_t expect_bits = 0;
-    int expect_hashes = 0;
-    BloomFilter::ExpectedSizing(cap, error, options.layout, &expect_bits,
-                                &expect_hashes);
-    if (slice->layout() != options.layout || slice->expected_items() != cap ||
-        slice->num_bits() != expect_bits ||
-        slice->num_hashes() != expect_hashes) {
-      return false;
-    }
+    if (!slice->SizedFor(cap, error)) return false;
     // Add() only grows a new slice once the current one reached its
     // design capacity, so every non-final slice holds exactly its
     // expected_items insertions and the final slice at most that.
@@ -192,8 +153,12 @@ bool ScalableBloomFilter::Restore(std::istream& in) {
   if (slice_insertions != num_insertions) return false;
   options_ = options;
   num_insertions_ = num_insertions;
+  num_removals_ = num_removals;
   slices_ = std::move(slices);
   return true;
 }
+
+template class ScalableFilter<BloomFilter>;
+template class ScalableFilter<CountingBloomFilter>;
 
 }  // namespace pier

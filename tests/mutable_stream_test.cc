@@ -26,7 +26,7 @@
 #include "core/pier_pipeline.h"
 #include "datagen/generators.h"
 #include "model/comparison.h"
-#include "model/pair_registry.h"
+#include "model/pair_filter.h"
 #include "persist/checkpoint_manager.h"
 #include "serve/cluster_index.h"
 #include "similarity/parallel_executor.h"

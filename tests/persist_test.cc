@@ -18,6 +18,7 @@
 #include "model/comparison.h"
 #include "model/profile_store.h"
 #include "model/token_dictionary.h"
+#include "obs/metrics.h"
 #include "persist/checkpoint_manager.h"
 #include "persist/crc32c.h"
 #include "persist/snapshot.h"
@@ -671,6 +672,35 @@ TEST(ApproxMemoryBytesTest, GrowsWithState) {
   const size_t filter_empty = filter.ApproxMemoryBytes();
   for (uint64_t k = 0; k < 100000; ++k) filter.TestAndAdd(k);
   EXPECT_GT(filter.ApproxMemoryBytes(), filter_empty);
+}
+
+// Regression: with exact_executed_filter the filter gauge must report
+// the exact set that is actually in use (one heap node of at least a
+// key per executed pair), not the idle Bloom filter's fixed size.
+TEST(ApproxMemoryBytesTest, ExactFilterGaugeGrowsWithExecutedPairs) {
+#ifdef PIER_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#endif
+  obs::MetricsRegistry registry;
+  PierOptions options;
+  options.kind = DatasetKind::kDirty;
+  options.exact_executed_filter = true;
+  options.metrics = &registry;
+  PierPipeline pipeline(options);
+  const auto filter_gauge = [&] {
+    persist::SnapshotBuilder builder;
+    pipeline.Snapshot(builder);
+    return registry.GetGauge("persist.state_bytes.filter")->Value();
+  };
+  pipeline.ReportArrival(0.0);
+  pipeline.Ingest(SampleIncrement(0, 60));
+  const double before = filter_gauge();
+  size_t executed = 0;
+  for (int round = 0; round < 20; ++round) {
+    executed += pipeline.EmitBatch(64).size();
+  }
+  ASSERT_GT(executed, 100u);
+  EXPECT_GE(filter_gauge() - before, 8.0 * static_cast<double>(executed));
 }
 
 }  // namespace
