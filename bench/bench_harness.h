@@ -124,16 +124,12 @@ inline std::unique_ptr<ErAlgorithm> MakeAlgorithm(const std::string& name,
   PierOptions options;
   options.kind = kind;
   options.blocking = blocking;
-  if (name == "I-PCS") {
-    options.strategy = PierStrategy::kIPcs;
-  } else if (name == "I-PBS") {
-    options.strategy = PierStrategy::kIPbs;
-  } else if (name == "SPER-SK") {
-    options.strategy = PierStrategy::kSperSk;
-  } else if (name == "FB-PCS") {
-    options.strategy = PierStrategy::kFbPcs;
-  } else {
-    options.strategy = PierStrategy::kIPes;
+  if (!ParseAlgorithmName(name, &options.strategy)) {
+    std::fprintf(stderr,
+                 "unknown algorithm '%s' (baselines: BATCH, PBS, PBS-GLOBAL, "
+                 "PPS, PPS-GLOBAL, PPS-LOCAL, I-BASE; strategies: %s)\n",
+                 name.c_str(), KnownAlgorithmNames());
+    std::exit(2);
   }
   return std::make_unique<PierAdapter>(options);
 }

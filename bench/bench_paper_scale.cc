@@ -8,7 +8,7 @@
 // (datagen/generators.h, CensusStreamGenerator) replayed in fixed
 // increments through PierPipeline: each increment is ingested, then
 // one EmitBatch(k) is executed through the Jaccard matcher with every
-// verdict fed back (RecordMatch / RecordVerdict), so blocking, the
+// verdict fed back (RecordVerdicts), so blocking, the
 // prioritizer, the executed-comparison filter, and the cluster index
 // all carry real state while memory is sampled.
 //
@@ -63,6 +63,7 @@
 #include "persist/checkpoint_manager.h"
 #include "persist/snapshot.h"
 #include "similarity/matcher.h"
+#include "similarity/parallel_executor.h"
 #include "util/serial.h"
 #include "util/stopwatch.h"
 
@@ -210,6 +211,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   PierPipeline pipeline(MakeOptions(&metrics));
   JaccardMatcher matcher(0.35);
+  const ParallelMatchExecutor executor(&matcher, /*num_threads=*/1);
 
   Progress progress;
   if (!args.resume_from.empty()) {
@@ -293,15 +295,12 @@ int main(int argc, char** argv) {
     ++progress.increments_delivered;
 
     Stopwatch emit_sw;
-    for (const Comparison& c : pipeline.EmitBatch(args.batch_k)) {
-      const bool is_match = matcher.Matches(pipeline.profiles().Get(c.x),
-                                            pipeline.profiles().Get(c.y));
-      if (is_match) {
-        pipeline.RecordMatch(c.x, c.y);
-        ++progress.matches;
-      }
-      pipeline.RecordVerdict(c.x, c.y, is_match);
-    }
+    const std::vector<Comparison> emitted = pipeline.EmitBatch(args.batch_k);
+    const Stopwatch match_sw;
+    const std::vector<MatchVerdict> verdicts =
+        executor.Execute(emitted, pipeline.profiles());
+    pipeline.RecordVerdicts(emitted, verdicts, match_sw.ElapsedSeconds());
+    for (const MatchVerdict& v : verdicts) progress.matches += v.is_match;
     progress.emit_seconds += emit_sw.ElapsedSeconds();
 
     if (checkpoints.enabled() &&

@@ -17,7 +17,9 @@
 
 #include "core/pier_pipeline.h"
 #include "similarity/matcher.h"
+#include "similarity/parallel_executor.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace {
 
@@ -58,6 +60,7 @@ int main() {
   options.strategy = pier::PierStrategy::kIPes;
   pier::PierPipeline pipeline(options);
   const pier::JaccardMatcher matcher(0.45);
+  const pier::ParallelMatchExecutor executor(&matcher, /*num_threads=*/1);
 
   // Source 0: the full architectural design, available upfront
   // (IFC-style attribute names).
@@ -92,19 +95,24 @@ int main() {
     }
     pipeline.Ingest(std::move(increment));
 
-    // Spare time until the next sensor batch: match the best pairs.
-    for (const auto& c : pipeline.EmitBatch(/*k=*/200)) {
-      const auto& a = pipeline.profiles().Get(c.x);
-      const auto& b = pipeline.profiles().Get(c.y);
-      if (matcher.Matches(a, b)) {
-        ++matches_found;
-        linked_parts.insert(std::min(c.x, c.y));  // design ids come first
-        if (matches_found <= 5) {
-          std::printf("linked design part #%u to site observation #%u "
-                      "(%s)\n",
-                      std::min(c.x, c.y), std::max(c.x, c.y),
-                      a.CopyAttributes()[0].value.c_str());
-        }
+    // Spare time until the next sensor batch: match the best pairs
+    // and feed the verdicts back to the prioritizer and findK().
+    const std::vector<pier::Comparison> batch =
+        pipeline.EmitBatch(/*k=*/200);
+    const pier::Stopwatch match_timer;
+    const std::vector<pier::MatchVerdict> verdicts =
+        executor.Execute(batch, pipeline.profiles());
+    pipeline.RecordVerdicts(batch, verdicts, match_timer.ElapsedSeconds());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!verdicts[i].is_match) continue;
+      const pier::Comparison& c = batch[i];
+      ++matches_found;
+      linked_parts.insert(std::min(c.x, c.y));  // design ids come first
+      if (matches_found <= 5) {
+        const auto& a = pipeline.profiles().Get(c.x);
+        std::printf("linked design part #%u to site observation #%u (%s)\n",
+                    std::min(c.x, c.y), std::max(c.x, c.y),
+                    a.CopyAttributes()[0].value.c_str());
       }
     }
   }

@@ -35,7 +35,6 @@ class IPbs : public IncrementalPrioritizer {
   void OnRetract(ProfileId id) override;
   void Snapshot(std::ostream& out) const override;
   bool Restore(std::istream& in) override;
-  const char* name() const override { return "I-PBS"; }
 
   // Exposed for tests: the number of blocks currently carrying
   // unexecuted comparisons.

@@ -29,7 +29,6 @@ class IPcs : public IncrementalPrioritizer {
   void OnRetract(ProfileId id) override;
   void Snapshot(std::ostream& out) const override;
   bool Restore(std::istream& in) override;
-  const char* name() const override { return "I-PCS"; }
 
  private:
   PrioritizerContext ctx_;

@@ -43,7 +43,6 @@ class IPes : public IncrementalPrioritizer {
   void OnRetract(ProfileId id) override;
   void Snapshot(std::ostream& out) const override;
   bool Restore(std::istream& in) override;
-  const char* name() const override { return "I-PES"; }
 
   // Exposed for tests / diagnostics.
   size_t NumTrackedEntities() const { return tracked_ids_.size(); }

@@ -1,6 +1,8 @@
 #include "core/pier_pipeline.h"
 
 #include <algorithm>
+#include <cctype>
+#include <iterator>
 #include <sstream>
 
 #include "core/i_pbs.h"
@@ -15,20 +17,82 @@
 
 namespace pier {
 
-const char* ToString(PierStrategy strategy) {
-  switch (strategy) {
-    case PierStrategy::kIPcs:
-      return "I-PCS";
-    case PierStrategy::kIPbs:
-      return "I-PBS";
-    case PierStrategy::kIPes:
-      return "I-PES";
-    case PierStrategy::kSperSk:
-      return "SPER-SK";
-    case PierStrategy::kFbPcs:
-      return "FB-PCS";
+namespace {
+
+using PrioritizerFactory = std::unique_ptr<IncrementalPrioritizer> (*)(
+    const PrioritizerContext&, const PrioritizerOptions&);
+
+template <typename T>
+std::unique_ptr<IncrementalPrioritizer> Make(const PrioritizerContext& ctx,
+                                             const PrioritizerOptions& o) {
+  return std::make_unique<T>(ctx, o);
+}
+
+struct StrategyEntry {
+  PierStrategy strategy;
+  const char* name;
+  PrioritizerFactory make;
+};
+
+// The one place a strategy is registered: adding a row makes it
+// constructible, nameable, parseable, and part of every AllStrategies()
+// suite. Rows are in enum order (checked by Entry).
+constexpr StrategyEntry kStrategies[] = {
+    {PierStrategy::kIPcs, "I-PCS", &Make<IPcs>},
+    {PierStrategy::kIPbs, "I-PBS", &Make<IPbs>},
+    {PierStrategy::kIPes, "I-PES", &Make<IPes>},
+    {PierStrategy::kSperSk, "SPER-SK", &Make<SperSk>},
+    {PierStrategy::kFbPcs, "FB-PCS", &Make<FbPcs>},
+};
+
+const StrategyEntry& Entry(PierStrategy strategy) {
+  const auto index = static_cast<size_t>(strategy);
+  PIER_CHECK(index < std::size(kStrategies));
+  PIER_CHECK(kStrategies[index].strategy == strategy);
+  return kStrategies[index];
+}
+
+std::string ToLower(std::string s) {
+  for (char& c : s) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  return "?";
+  return s;
+}
+
+}  // namespace
+
+const char* ToString(PierStrategy strategy) { return Entry(strategy).name; }
+
+const std::vector<PierStrategy>& AllStrategies() {
+  static const std::vector<PierStrategy> all = [] {
+    std::vector<PierStrategy> out;
+    for (const StrategyEntry& e : kStrategies) out.push_back(e.strategy);
+    return out;
+  }();
+  return all;
+}
+
+const char* KnownAlgorithmNames() {
+  static const std::string names = [] {
+    std::string out;
+    for (const StrategyEntry& e : kStrategies) {
+      if (!out.empty()) out += ", ";
+      out += e.name;
+    }
+    return out;
+  }();
+  return names.c_str();
+}
+
+bool ParseAlgorithmName(const std::string& name, PierStrategy* out) {
+  const std::string lower = ToLower(name);
+  for (const StrategyEntry& e : kStrategies) {
+    if (lower == ToLower(e.name)) {
+      *out = e.strategy;
+      return true;
+    }
+  }
+  return false;
 }
 
 PierPipeline::PierPipeline(PierOptions options)
@@ -47,25 +111,9 @@ PierPipeline::PierPipeline(PierOptions options)
   if (options_.mutable_stream && options_.track_clusters) {
     clusters_.EnableRetraction();
   }
-  const PrioritizerContext ctx{&blocks_, &profiles_};
-  switch (options_.strategy) {
-    case PierStrategy::kIPcs:
-      prioritizer_ = std::make_unique<IPcs>(ctx, options_.prioritizer);
-      break;
-    case PierStrategy::kIPbs:
-      prioritizer_ = std::make_unique<IPbs>(ctx, options_.prioritizer);
-      break;
-    case PierStrategy::kIPes:
-      prioritizer_ = std::make_unique<IPes>(ctx, options_.prioritizer);
-      break;
-    case PierStrategy::kSperSk:
-      prioritizer_ = std::make_unique<SperSk>(ctx, options_.prioritizer);
-      break;
-    case PierStrategy::kFbPcs:
-      prioritizer_ = std::make_unique<FbPcs>(ctx, options_.prioritizer);
-      break;
-  }
-  PIER_CHECK(prioritizer_ != nullptr);
+  prioritizer_ = Entry(options_.strategy)
+                     .make(PrioritizerContext{&blocks_, &profiles_},
+                           options_.prioritizer);
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& r = *options_.metrics;
     metrics_.profiles_ingested = r.GetCounter("pipeline.profiles_ingested");
@@ -299,6 +347,20 @@ std::vector<Comparison> PierPipeline::EmitBatch(size_t k, WorkStats* stats) {
   obs::CounterAdd(metrics_.comparisons_emitted, batch.size());
   obs::HistogramRecord(metrics_.batch_size, batch.size());
   return batch;
+}
+
+void PierPipeline::RecordVerdicts(const std::vector<Comparison>& batch,
+                                  const std::vector<MatchVerdict>& verdicts,
+                                  double match_seconds) {
+  PIER_CHECK(batch.size() == verdicts.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Comparison& c = batch[i];
+    RecordVerdict(c.x, c.y, verdicts[i].is_match);
+    if (verdicts[i].is_match && options_.track_clusters) {
+      RecordMatch(c.x, c.y);
+    }
+  }
+  ReportBatchCost(batch.size(), match_seconds);
 }
 
 namespace {

@@ -1,25 +1,21 @@
 // The PIER pipeline facade (Figure 3 / Section 3.2): wires Data
 // Reading (tokenization), Incremental Blocking, Incremental Comparison
-// Prioritization (one of I-PCS / I-PBS / I-PES), and the adaptive
+// Prioritization (one strategy of the strategy table), and the adaptive
 // findK() controller into the public API downstream users interact
 // with.
 //
-// Typical use (see examples/quickstart.cc):
+// Typical use, one resolution step per batch (DESIGN.md §4; see
+// examples/construction_monitor.cpp):
 //
 //   pier::PierOptions options;
 //   options.kind = pier::DatasetKind::kCleanClean;
 //   pier::PierPipeline pipeline(options);
+//   pier::ParallelMatchExecutor executor(&matcher, /*num_threads=*/1);
 //   pipeline.Ingest(std::move(new_profiles));      // per increment
-//   for (auto& c : pipeline.EmitBatch()) {         // between arrivals
-//     if (matcher.Matches(pipeline.profiles().Get(c.x),
-//                         pipeline.profiles().Get(c.y))) { ... }
-//   }
+//   auto batch = pipeline.EmitBatch();             // between arrivals
+//   auto verdicts = executor.Execute(batch, pipeline.profiles());
+//   pipeline.RecordVerdicts(batch, verdicts, match_seconds);
 //   pipeline.Tick();  // when idle, pulls older pairs forward
-//
-// Batched deployments should hand EmitBatch() output to
-// ParallelMatchExecutor::ExecuteVerdicts (the threshold-only kernel
-// path) instead of calling Matches() per pair; the verdict stream is
-// identical either way (see similarity/parallel_executor.h).
 //
 // The pipeline owns all shared state; it is single-threaded by design
 // (the paper's asynchronous stages are reproduced by the stream
@@ -62,7 +58,24 @@ enum class PierStrategy : uint8_t {
   kFbPcs = 4,
 };
 
+// The strategy table in pier_pipeline.cc (one {strategy, name,
+// factory} row per strategy, in enum order) backs these four functions
+// and the PierPipeline constructor.
 const char* ToString(PierStrategy strategy);
+
+// Every selectable strategy, in enum order. Parametrized test suites
+// and sweeps iterate this instead of hand-listing strategies.
+const std::vector<PierStrategy>& AllStrategies();
+
+// Comma-separated canonical names of AllStrategies(), for diagnostics
+// (`pier_cli --algorithm` lists them on an unknown name).
+const char* KnownAlgorithmNames();
+
+// Parses a user-facing algorithm name into a strategy. Accepts the
+// table names case-insensitively. Returns false -- with *out untouched
+// -- for anything else, including "auto" (callers handle
+// auto-selection via RecommendStrategy themselves).
+bool ParseAlgorithmName(const std::string& name, PierStrategy* out);
 
 struct PierOptions {
   DatasetKind kind = DatasetKind::kDirty;
@@ -182,26 +195,31 @@ class PierPipeline {
   // when non-null, accumulates the work of any internal ticks.
   std::vector<Comparison> EmitBatch(size_t k, WorkStats* stats = nullptr);
 
-  // Rate feedback for the adaptive-K controller.
+  // Arrival-rate feedback for the adaptive-K controller.
   void ReportArrival(double t) { adaptive_k_.OnArrival(t); }
-  void ReportBatchCost(size_t comparisons, double seconds) {
-    adaptive_k_.OnBatchProcessed(comparisons, seconds);
-  }
 
   bool PrioritizerEmpty() const { return prioritizer_->Empty(); }
 
-  // Records a positive match verdict in the online cluster index.
-  // Callers feed every `is_match` verdict here (the realtime worker
-  // and the stream simulator both do); the index merges the two
-  // profiles' clusters. Safe against concurrent cluster queries.
-  void RecordMatch(ProfileId a, ProfileId b) { clusters_.AddMatch(a, b); }
+  // The feedback half of the resolution step (Algorithm 1, after
+  // matching): verdicts[i] is the matcher's classification of
+  // batch[i]. Every verdict goes to the prioritizer (RecordVerdict),
+  // every positive to the cluster index (RecordMatch, only when
+  // track_clusters), and the batch's matching time to the findK()
+  // controller. Every driver calls this once per executed batch; a
+  // driver that skipped it would silently turn FB-PCS into I-PCS.
+  void RecordVerdicts(const std::vector<Comparison>& batch,
+                      const std::vector<MatchVerdict>& verdicts,
+                      double match_seconds);
 
-  // Feeds one executed comparison's classification (positive or
-  // negative) back to the prioritizer. Feedback strategies (FB-PCS)
-  // use it to promote/demote blocks mid-stream; the others ignore it.
-  // Callers that feed RecordMatch should feed every verdict here too.
+  // Per-pair halves of RecordVerdicts, for closed-loop drivers that
+  // classify pairs one at a time (pierbench). RecordMatch merges the
+  // two profiles' clusters in the online index and is safe against
+  // concurrent cluster queries; RecordVerdict feeds one classification
+  // (positive or negative) to the prioritizer, which feedback
+  // strategies (FB-PCS) use to promote/demote blocks mid-stream.
+  void RecordMatch(ProfileId a, ProfileId b) { clusters_.AddMatch(a, b); }
   void RecordVerdict(ProfileId a, ProfileId b, bool is_match) {
-    prioritizer_->OnVerdict(a, b, is_match);
+    prioritizer_->RecordVerdict(a, b, is_match);
   }
 
   // The online cluster-serving index (see serve/cluster_index.h).
@@ -238,6 +256,12 @@ class PierPipeline {
                const std::string& prefix = "pier");
 
  private:
+  // Matching-cost feedback for the adaptive-K controller; fed only
+  // through RecordVerdicts.
+  void ReportBatchCost(size_t comparisons, double seconds) {
+    adaptive_k_.OnBatchProcessed(comparisons, seconds);
+  }
+
   // Delete internals for one live profile (shared by Delete and the
   // retract half of Update): everything except the profile-store
   // tombstone, which Delete writes and Update replaces.

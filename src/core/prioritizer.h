@@ -135,7 +135,7 @@ class IncrementalPrioritizer {
   // the outcome into their block/edge scores; everything else ignores
   // it. Arrives after the comparison was emitted, so implementations
   // must tolerate endpoints that have since been retracted.
-  virtual void OnVerdict(ProfileId a, ProfileId b, bool is_match) {
+  virtual void RecordVerdict(ProfileId a, ProfileId b, bool is_match) {
     (void)a;
     (void)b;
     (void)is_match;
@@ -152,8 +152,6 @@ class IncrementalPrioritizer {
     (void)in;
     return false;
   }
-
-  virtual const char* name() const = 0;
 };
 
 }  // namespace pier

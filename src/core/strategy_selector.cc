@@ -1,48 +1,15 @@
 #include "core/strategy_selector.h"
 
-#include <cctype>
 #include <cmath>
 #include <string_view>
 
 namespace pier {
 
-namespace {
-
-constexpr PierStrategy kAllStrategies[] = {
-    PierStrategy::kIPcs, PierStrategy::kIPbs, PierStrategy::kIPes,
-    PierStrategy::kSperSk, PierStrategy::kFbPcs,
-};
-
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-}  // namespace
-
-const char* KnownAlgorithmNames() {
-  return "I-PCS, I-PBS, I-PES, SPER-SK, FB-PCS";
-}
-
-bool ParseAlgorithmName(const std::string& name, PierStrategy* out) {
-  const std::string lower = ToLower(name);
-  for (const PierStrategy strategy : kAllStrategies) {
-    if (lower == ToLower(ToString(strategy))) {
-      *out = strategy;
-      return true;
-    }
-  }
-  return false;
-}
-
 StrategyRecommendation RecommendStrategy(const BlockCollection& blocks,
                                          const ProfileStore& profiles) {
   StrategyRecommendation rec;
   if (profiles.empty()) {
-    rec.rationale = "no data yet; defaulting to I-PES";
+    rec.rationale = "no data yet; the default";
     return rec;
   }
 
@@ -99,12 +66,12 @@ StrategyRecommendation RecommendStrategy(const BlockCollection& blocks,
     rec.strategy = PierStrategy::kIPbs;
     rec.rationale =
         "short uniform relational-style values: smallest blocks are "
-        "highly informative, block-centric scheduling (I-PBS) preferred";
+        "highly informative, block-centric scheduling preferred";
   } else {
     rec.strategy = PierStrategy::kIPes;
     rec.rationale =
         "heterogeneous or long-valued profiles: entity-centric "
-        "scheduling (I-PES) is the robust choice";
+        "scheduling is the robust choice";
   }
   return rec;
 }

@@ -30,6 +30,7 @@ struct StrategyRecommendation {
   double token_count_cv = 0.0;      // coefficient of variation
   double mean_value_length = 0.0;   // characters per attribute value
   double small_block_share = 0.0;   // active blocks with <= 4 members
+  // Why, in words; callers print it next to ToString(strategy).
   std::string rationale;
 };
 
@@ -38,19 +39,6 @@ struct StrategyRecommendation {
 // With no data yet, recommends I-PES (the paper's overall winner).
 StrategyRecommendation RecommendStrategy(const BlockCollection& blocks,
                                          const ProfileStore& profiles);
-
-// The algorithm-name registry backing `pier_cli --algorithm` and its
-// unknown-name diagnostic. Comma-separated canonical names of every
-// selectable strategy (the paper trio plus the frontier family), in
-// enum order.
-const char* KnownAlgorithmNames();
-
-// Parses a user-facing algorithm name into a strategy. Accepts the
-// canonical names from KnownAlgorithmNames() case-insensitively
-// ("I-PCS", "i-pcs", "sper-sk", "FB-PCS", ...). Returns false -- with
-// *out untouched -- for anything else, including "auto" (callers
-// handle auto-selection via RecommendStrategy themselves).
-bool ParseAlgorithmName(const std::string& name, PierStrategy* out);
 
 }  // namespace pier
 

@@ -152,7 +152,7 @@ WorkStats FbPcs::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   return stats;
 }
 
-void FbPcs::OnVerdict(ProfileId a, ProfileId b, bool is_match) {
+void FbPcs::RecordVerdict(ProfileId a, ProfileId b, bool is_match) {
   const ProfileStore& profiles = *ctx_.profiles;
   // Verdicts arrive after emission; either endpoint may have been
   // retracted (mutable streams) in between.

@@ -3,7 +3,7 @@
 // candidate generation is identical (ghosting, weighting kernel,
 // I-WNP), but every weight is multiplied by a *block boost* derived
 // from per-token match-rate posteriors that the matcher's verdict
-// stream (OnVerdict: positives and negatives) keeps updating. Tokens
+// stream (RecordVerdict: positives and negatives) keeps updating. Tokens
 // whose blocks keep producing matches are promoted -- their remaining
 // pairs are scheduled wholesale through a hot-block queue -- while
 // tokens that keep producing non-matches see their future pairs
@@ -34,10 +34,9 @@ class FbPcs : public IncrementalPrioritizer {
   }
   void OnStreamEnd() override { scanner_.AllowFullRescan(); }
   void OnRetract(ProfileId id) override;
-  void OnVerdict(ProfileId a, ProfileId b, bool is_match) override;
+  void RecordVerdict(ProfileId a, ProfileId b, bool is_match) override;
   void Snapshot(std::ostream& out) const override;
   bool Restore(std::istream& in) override;
-  const char* name() const override { return "FB-PCS"; }
 
  private:
   // Posterior boost factor of token t's block: the smoothed per-block

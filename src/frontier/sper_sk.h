@@ -40,7 +40,6 @@ class SperSk : public IncrementalPrioritizer {
   void OnRetract(ProfileId id) override;
   void Snapshot(std::ostream& out) const override;
   bool Restore(std::istream& in) override;
-  const char* name() const override { return "SPER-SK"; }
 
  private:
   // Draws up to frontier_sample_budget candidate edges for profile

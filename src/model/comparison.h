@@ -60,6 +60,15 @@ struct CompareByBlockThenWeight {
 void SnapshotComparison(std::ostream& out, const Comparison& c);
 bool RestoreComparison(std::istream& in, Comparison* c);
 
+// The outcome of matching one comparison: the thresholded
+// classification plus the matcher's deterministic work estimate (fed
+// to the modeled cost meter). Produced by ParallelMatchExecutor,
+// consumed by PierPipeline::RecordVerdicts.
+struct MatchVerdict {
+  bool is_match = false;
+  uint64_t cost_units = 0;
+};
+
 }  // namespace pier
 
 #endif  // PIER_MODEL_COMPARISON_H_

@@ -19,19 +19,13 @@ namespace {
 template <typename Resolve>
 void MatchRange(const Matcher& matcher, const std::vector<Comparison>& batch,
                 size_t begin, size_t end, const Resolve& resolve,
-                MatchVerdict* verdicts, bool verdict_only) {
+                MatchVerdict* verdicts) {
   SimilarityScratch scratch;
   for (size_t i = begin; i < end; ++i) {
     const EntityProfile& a = resolve(batch[i].x);
     const EntityProfile& b = resolve(batch[i].y);
-    MatchVerdict& v = verdicts[i];
-    if (verdict_only) {
-      v.is_match = matcher.Verdict(a, b, &scratch);
-    } else {
-      v.similarity = matcher.SimilarityKernel(a, b, &scratch);
-      v.is_match = v.similarity >= matcher.threshold();
-    }
-    v.cost_units = matcher.CostUnits(a, b);
+    verdicts[i].is_match = matcher.Verdict(a, b, &scratch);
+    verdicts[i].cost_units = matcher.CostUnits(a, b);
   }
 }
 
@@ -39,8 +33,7 @@ template <typename Resolve>
 std::vector<MatchVerdict> ExecuteImpl(const Matcher& matcher, ThreadPool* pool,
                                       size_t min_shard,
                                       const std::vector<Comparison>& batch,
-                                      const Resolve& resolve,
-                                      bool verdict_only) {
+                                      const Resolve& resolve) {
   std::vector<MatchVerdict> verdicts(batch.size());
   const size_t n = batch.size();
   if (n == 0) return verdicts;
@@ -48,7 +41,7 @@ std::vector<MatchVerdict> ExecuteImpl(const Matcher& matcher, ThreadPool* pool,
   size_t shards = pool == nullptr ? 1 : pool->size();
   shards = std::min(shards, std::max<size_t>(1, n / min_shard));
   if (shards <= 1) {
-    MatchRange(matcher, batch, 0, n, resolve, verdicts.data(), verdict_only);
+    MatchRange(matcher, batch, 0, n, resolve, verdicts.data());
     return verdicts;
   }
 
@@ -67,8 +60,8 @@ std::vector<MatchVerdict> ExecuteImpl(const Matcher& matcher, ThreadPool* pool,
       first_end = end;  // shard 0 runs on the calling thread below
     } else {
       pending.push_back(pool->Submit([&matcher, &batch, begin, end, &resolve,
-                                      verdict_only, out = verdicts.data()] {
-        MatchRange(matcher, batch, begin, end, resolve, out, verdict_only);
+                                      out = verdicts.data()] {
+        MatchRange(matcher, batch, begin, end, resolve, out);
       }));
     }
     begin = end;
@@ -78,8 +71,7 @@ std::vector<MatchVerdict> ExecuteImpl(const Matcher& matcher, ThreadPool* pool,
   // task) is rethrown once all shards have finished.
   std::exception_ptr first_error;
   try {
-    MatchRange(matcher, batch, 0, first_end, resolve, verdicts.data(),
-               verdict_only);
+    MatchRange(matcher, batch, 0, first_end, resolve, verdicts.data());
   } catch (...) {
     first_error = std::current_exception();
   }
@@ -106,61 +98,35 @@ ParallelMatchExecutor::ParallelMatchExecutor(const Matcher* matcher,
     batches_metric_ = metrics->GetCounter("executor.batches");
     comparisons_metric_ = metrics->GetCounter("executor.comparisons");
     sharded_batches_metric_ = metrics->GetCounter("executor.sharded_batches");
-    verdict_batches_metric_ = metrics->GetCounter("executor.verdict_batches");
     batch_ns_metric_ = metrics->GetHistogram("executor.batch_ns");
   }
 }
 
 ParallelMatchExecutor::~ParallelMatchExecutor() = default;
 
-void ParallelMatchExecutor::RecordBatchMetrics(size_t batch_size,
-                                               bool verdict_only) const {
+template <typename Resolve>
+std::vector<MatchVerdict> ParallelMatchExecutor::Run(
+    const std::vector<Comparison>& batch, const Resolve& resolve) const {
+  const obs::ScopedTimer timer(batch_ns_metric_);
   obs::CounterAdd(batches_metric_);
-  obs::CounterAdd(comparisons_metric_, batch_size);
-  if (verdict_only) obs::CounterAdd(verdict_batches_metric_);
-  if (pool_ != nullptr && batch_size >= 2 * kMinShardSize) {
+  obs::CounterAdd(comparisons_metric_, batch.size());
+  if (pool_ != nullptr && batch.size() >= 2 * kMinShardSize) {
     obs::CounterAdd(sharded_batches_metric_);
   }
+  return ExecuteImpl(*matcher_, pool_.get(), kMinShardSize, batch, resolve);
 }
 
 std::vector<MatchVerdict> ParallelMatchExecutor::Execute(
     const std::vector<Comparison>& batch, const ProfileStore& profiles) const {
-  const auto resolve = [&profiles](ProfileId id) -> const EntityProfile& {
+  return Run(batch, [&profiles](ProfileId id) -> const EntityProfile& {
     return profiles.Get(id);
-  };
-  const obs::ScopedTimer timer(batch_ns_metric_);
-  RecordBatchMetrics(batch.size(), /*verdict_only=*/false);
-  return ExecuteImpl(*matcher_, pool_.get(), kMinShardSize, batch, resolve,
-                     /*verdict_only=*/false);
+  });
 }
 
 std::vector<MatchVerdict> ParallelMatchExecutor::Execute(
     const std::vector<Comparison>& batch, const ProfileLookup& lookup) const {
   PIER_CHECK(lookup != nullptr);
-  const obs::ScopedTimer timer(batch_ns_metric_);
-  RecordBatchMetrics(batch.size(), /*verdict_only=*/false);
-  return ExecuteImpl(*matcher_, pool_.get(), kMinShardSize, batch, lookup,
-                     /*verdict_only=*/false);
-}
-
-std::vector<MatchVerdict> ParallelMatchExecutor::ExecuteVerdicts(
-    const std::vector<Comparison>& batch, const ProfileStore& profiles) const {
-  const auto resolve = [&profiles](ProfileId id) -> const EntityProfile& {
-    return profiles.Get(id);
-  };
-  const obs::ScopedTimer timer(batch_ns_metric_);
-  RecordBatchMetrics(batch.size(), /*verdict_only=*/true);
-  return ExecuteImpl(*matcher_, pool_.get(), kMinShardSize, batch, resolve,
-                     /*verdict_only=*/true);
-}
-
-std::vector<MatchVerdict> ParallelMatchExecutor::ExecuteVerdicts(
-    const std::vector<Comparison>& batch, const ProfileLookup& lookup) const {
-  PIER_CHECK(lookup != nullptr);
-  const obs::ScopedTimer timer(batch_ns_metric_);
-  RecordBatchMetrics(batch.size(), /*verdict_only=*/true);
-  return ExecuteImpl(*matcher_, pool_.get(), kMinShardSize, batch, lookup,
-                     /*verdict_only=*/true);
+  return Run(batch, lookup);
 }
 
 }  // namespace pier

@@ -1,21 +1,17 @@
 // Parallel match-execution engine: shards a batch of prioritized
-// comparisons across a fixed ThreadPool, runs the matcher kernels
-// concurrently, and returns the verdicts **in emission order** — the
-// verdict at index i always corresponds to batch[i], regardless of
-// thread count. Downstream consumers (progressive-curve accounting,
-// match callbacks) therefore see a bit-identical stream to the
+// comparisons across a fixed ThreadPool, runs the matcher's verdict
+// kernels concurrently, and returns the verdicts **in emission order**
+// — the verdict at index i always corresponds to batch[i], regardless
+// of thread count. Downstream consumers (progressive-curve accounting,
+// verdict feedback) therefore see a bit-identical stream to the
 // sequential path, so PC-over-time curves do not depend on the number
 // of execution threads.
 //
-// Two batched paths, each with one SimilarityScratch per worker shard
-// (no per-comparison allocation):
-//  - Execute(): exact scores via Matcher::SimilarityKernel — the same
-//    doubles as the naive Matcher::Similarity, for consumers that
-//    record raw scores.
-//  - ExecuteVerdicts(): threshold-only fast path via Matcher::Verdict
-//    (bounded edit-distance kernels, size-filtered set similarity);
-//    `similarity` is left 0.0 in the result. The is_match stream is
-//    guaranteed identical to Execute()'s.
+// Matching runs Matcher::Verdict, the threshold-only kernel path
+// (bounded edit-distance kernels, size-filtered set similarity), with
+// one SimilarityScratch per worker shard (no per-comparison
+// allocation). Its is_match stream is identical to thresholding the
+// naive Matcher::Similarity; no consumer needs the raw score.
 //
 // Profile reads are lock-free: the executor only needs `const
 // EntityProfile&` access, and the chunked ProfileStore guarantees
@@ -40,17 +36,6 @@
 #include "util/thread_pool.h"
 
 namespace pier {
-
-// The outcome of matching one comparison. `cost_units` is the
-// matcher's deterministic work estimate (fed to the modeled cost
-// meter); `similarity` the raw score (only populated by the score
-// path — ExecuteVerdicts() leaves it 0.0); `is_match` the thresholded
-// classification.
-struct MatchVerdict {
-  bool is_match = false;
-  double similarity = 0.0;
-  uint64_t cost_units = 0;
-};
 
 class ParallelMatchExecutor {
  public:
@@ -81,19 +66,6 @@ class ParallelMatchExecutor {
   std::vector<MatchVerdict> Execute(const std::vector<Comparison>& batch,
                                     const ProfileLookup& lookup) const;
 
-  // Verdict-only fast path: same emission-order guarantees, same
-  // is_match / cost_units values as Execute(), but runs
-  // Matcher::Verdict so the raw score is never computed
-  // (result[i].similarity stays 0.0). Use when the consumer only
-  // needs the classification — the stream simulator and realtime
-  // pipeline both do.
-  std::vector<MatchVerdict> ExecuteVerdicts(
-      const std::vector<Comparison>& batch,
-      const ProfileStore& profiles) const;
-  std::vector<MatchVerdict> ExecuteVerdicts(
-      const std::vector<Comparison>& batch,
-      const ProfileLookup& lookup) const;
-
  private:
   // Batches smaller than kMinShardSize * 2 are matched inline: the
   // pool handoff costs more than the matching itself.
@@ -103,13 +75,14 @@ class ParallelMatchExecutor {
   size_t num_threads_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads_ <= 1
 
-  void RecordBatchMetrics(size_t batch_size, bool verdict_only) const;
+  template <typename Resolve>
+  std::vector<MatchVerdict> Run(const std::vector<Comparison>& batch,
+                                const Resolve& resolve) const;
 
   // `executor.*` metrics; null when un-instrumented.
   obs::Counter* batches_metric_ = nullptr;
   obs::Counter* comparisons_metric_ = nullptr;
   obs::Counter* sharded_batches_metric_ = nullptr;
-  obs::Counter* verdict_batches_metric_ = nullptr;
   obs::Histogram* batch_ns_metric_ = nullptr;
 };
 

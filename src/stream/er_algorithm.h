@@ -53,31 +53,22 @@ class ErAlgorithm {
   // when a new increment arrives").
   virtual bool ReadyForIncrement() const { return true; }
 
-  // Called for every pair the matcher classified as a duplicate;
-  // algorithms that maintain an online cluster index fold the verdict
-  // in here (PIER: serve::ClusterIndex). Default: nothing, so
-  // baselines and test doubles keep compiling.
-  virtual void OnMatch(ProfileId a, ProfileId b) {
-    (void)a;
-    (void)b;
+  // The feedback half of the resolution step: called once per
+  // executed batch, with verdicts[i] the matcher's classification of
+  // batch[i] and `match_seconds` the batch's matching cost. PIER
+  // forwards it to PierPipeline::RecordVerdicts (prioritizer feedback,
+  // cluster index, findK()). Default: nothing, so baselines and test
+  // doubles keep compiling.
+  virtual void OnVerdicts(const std::vector<Comparison>& batch,
+                          const std::vector<MatchVerdict>& verdicts,
+                          double match_seconds) {
+    (void)batch;
+    (void)verdicts;
+    (void)match_seconds;
   }
 
-  // Called for every executed pair with the matcher's classification
-  // (positives and negatives; OnMatch remains positives-only).
-  // Feedback algorithms (FB-PCS) fold the outcome back into their
-  // prioritization scores. Default: nothing.
-  virtual void OnVerdict(ProfileId a, ProfileId b, bool is_match) {
-    (void)a;
-    (void)b;
-    (void)is_match;
-  }
-
-  // Rate feedback for adaptive controllers; no-ops by default.
+  // Arrival-rate feedback for adaptive controllers; no-op by default.
   virtual void OnArrival(double time) { (void)time; }
-  virtual void OnBatchCost(size_t comparisons, double seconds) {
-    (void)comparisons;
-    (void)seconds;
-  }
 
   // Profile access for the matcher (every algorithm owns a store of
   // the profiles it has ingested).

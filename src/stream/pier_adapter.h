@@ -1,7 +1,8 @@
-// Adapts a PierPipeline (I-PCS / I-PBS / I-PES) to the simulator's
-// ErAlgorithm interface. This is also the reference wiring for real
-// deployments: arrivals feed Ingest, spare time drives EmitBatch and
-// Tick, and matcher timings feed the adaptive-K controller.
+// Adapts a PierPipeline (any strategy of the strategy table) to the
+// simulator's ErAlgorithm interface. This is also the reference wiring
+// for real deployments: arrivals feed Ingest, spare time drives
+// EmitBatch and Tick, and each executed batch's verdicts and matching
+// time feed back through RecordVerdicts.
 
 #ifndef PIER_STREAM_PIER_ADAPTER_H_
 #define PIER_STREAM_PIER_ADAPTER_H_
@@ -36,18 +37,13 @@ class PierAdapter : public ErAlgorithm {
     return pipeline_.Tick();
   }
 
-  void OnMatch(ProfileId a, ProfileId b) override {
-    pipeline_.RecordMatch(a, b);
-  }
-
-  void OnVerdict(ProfileId a, ProfileId b, bool is_match) override {
-    pipeline_.RecordVerdict(a, b, is_match);
+  void OnVerdicts(const std::vector<Comparison>& batch,
+                  const std::vector<MatchVerdict>& verdicts,
+                  double match_seconds) override {
+    pipeline_.RecordVerdicts(batch, verdicts, match_seconds);
   }
 
   void OnArrival(double time) override { pipeline_.ReportArrival(time); }
-  void OnBatchCost(size_t comparisons, double seconds) override {
-    pipeline_.ReportBatchCost(comparisons, seconds);
-  }
 
   const EntityProfile& Profile(ProfileId id) const override {
     return pipeline_.profiles().Get(id);

@@ -417,9 +417,14 @@ void ShardedPipeline::ShardLoop(size_t shard_index) {
     if (!batch.empty()) {
       Stopwatch sw;
       const std::vector<MatchVerdict> verdicts =
-          shard.executor->ExecuteVerdicts(batch, lookup);
+          shard.executor->Execute(batch, lookup);
       const double seconds = sw.ElapsedSeconds();
-      pipeline.ReportBatchCost(batch.size(), seconds);
+      // The shard that scheduled the pairs folds their verdicts into
+      // its own prioritizer (FB-PCS block posteriors) and findK(); it
+      // tracks no clusters (the combiner owns the serving index).
+      // Scheduling order may shift, but the drained comparison *set*
+      // -- hence cluster equivalence -- is unchanged.
+      pipeline.RecordVerdicts(batch, verdicts, seconds);
       obs::CounterAdd(batches_metric_);
       if (match_ns_metric_ != nullptr && seconds > 0.0) {
         match_ns_metric_->Record(static_cast<uint64_t>(seconds * 1e9));
@@ -430,13 +435,6 @@ void ShardedPipeline::ShardLoop(size_t shard_index) {
       out.is_match.resize(verdicts.size());
       for (size_t i = 0; i < verdicts.size(); ++i) {
         out.is_match[i] = verdicts[i].is_match ? 1 : 0;
-        // Per-shard verdict feedback: the shard that scheduled the
-        // pair folds the outcome into its own prioritizer (FB-PCS
-        // block posteriors). Scheduling order may shift, but the
-        // drained comparison *set* -- hence cluster equivalence -- is
-        // unchanged.
-        pipeline.RecordVerdict(out.comparisons[i].x, out.comparisons[i].y,
-                               verdicts[i].is_match);
       }
       verdicts_pushed_.fetch_add(1, std::memory_order_release);
       if (!verdict_queue_.Push(std::move(out))) return;  // stopping

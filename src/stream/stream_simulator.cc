@@ -491,11 +491,8 @@ RunResult StreamSimulator::RunLoop(ErAlgorithm& algorithm,
         state.vt += gen_cost;
         uint64_t units = 0;
         Stopwatch match_sw;
-        // Verdict-only fast path: the simulator consumes is_match and
-        // cost_units, never the raw score, so the bounded kernels can
-        // skip the exact similarity computation.
         const std::vector<MatchVerdict> verdicts =
-            executor.ExecuteVerdicts(batch, lookup);
+            executor.Execute(batch, lookup);
         uint64_t batch_matches = 0;
         uint64_t batch_positives = 0;
         for (size_t i = 0; i < batch.size(); ++i) {
@@ -504,19 +501,14 @@ RunResult StreamSimulator::RunLoop(ErAlgorithm& algorithm,
           units += v.cost_units;
           ++state.executed;
           const bool is_true_match = dataset_->truth.IsMatch(c.x, c.y);
-          // Every verdict (positive or negative) feeds the algorithm's
-          // feedback hook; FB-PCS folds it into its block posteriors.
-          algorithm.OnVerdict(c.x, c.y, v.is_match);
           if (v.is_match) {
             ++batch_positives;
             ++result.matcher_positives;
             if (is_true_match) ++result.matcher_true_positives;
-            // Fold the positive verdict into the algorithm's online
-            // cluster index and the eval-side recall tracker. The
-            // tracker sees the matcher's output (false positives
-            // included): ClusterRecall measures what the *served*
-            // clusters got right, not what an oracle would serve.
-            algorithm.OnMatch(c.x, c.y);
+            // The eval-side recall tracker sees the matcher's output
+            // (false positives included): ClusterRecall measures what
+            // the *served* clusters got right, not what an oracle
+            // would serve.
             state.tracker->AddMatch(c.x, c.y);
           }
           if (is_true_match && state.credited.insert(c.Key()).second) {
@@ -527,7 +519,7 @@ RunResult StreamSimulator::RunLoop(ErAlgorithm& algorithm,
         const double match_cost =
             meter.MatchCost(units, match_sw.ElapsedSeconds());
         state.vt += match_cost;
-        algorithm.OnBatchCost(batch.size(), match_cost);
+        algorithm.OnVerdicts(batch, verdicts, match_cost);
         obs::CounterAdd(m.batches);
         obs::CounterAdd(m.comparisons_executed, batch.size());
         obs::CounterAdd(m.matches_found, batch_matches);

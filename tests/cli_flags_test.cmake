@@ -1,9 +1,12 @@
-# Runs a pier tool with a non-numeric value for a numeric flag and
-# checks that it exits with status 2 and a diagnostic naming the flag,
-# rather than aborting on an uncaught exception.
+# Runs a pier tool with a bad flag and checks that it exits with
+# status 2 and a diagnostic, rather than aborting on an uncaught
+# exception or silently ignoring the flag. By default the bad flag is a
+# non-numeric value for numeric flag FLAG; BAD_ARG/EXPECT override the
+# argument and the diagnostic it must produce.
 #
 #   cmake -DTOOL=<binary> -DFLAG=<name> -DWORK_DIR=<dir>
-#         [-DEXTRA_ARGS=<arg;arg;...>] -P cli_flags_test.cmake
+#         [-DEXTRA_ARGS=<arg;arg;...>] [-DBAD_ARG=<arg> -DEXPECT=<text>]
+#         -P cli_flags_test.cmake
 #
 # A small profiles CSV is written to WORK_DIR first, so a tool that
 # loads its input before reading the flag gets that far.
@@ -19,16 +22,20 @@ file(WRITE "${profiles}"
 string(REPLACE "@PROFILES@" "${profiles}" args "${EXTRA_ARGS}")
 string(REPLACE "@WORK_DIR@" "${WORK_DIR}" args "${args}")
 
+if(NOT DEFINED BAD_ARG)
+  set(BAD_ARG "--${FLAG}=abc")
+  set(EXPECT "flag --${FLAG}: expected ")
+endif()
+
 execute_process(
-  COMMAND "${TOOL}" ${args} "--${FLAG}=abc"
+  COMMAND "${TOOL}" ${args} "${BAD_ARG}"
   RESULT_VARIABLE result
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 
-set(expected "flag --${FLAG}: expected ")
-string(FIND "${err}" "${expected}" at)
+string(FIND "${err}" "${EXPECT}" at)
 if(NOT result STREQUAL "2" OR at EQUAL -1)
   message(FATAL_ERROR
-    "--${FLAG}=abc: want exit status 2 and a diagnostic starting "
-    "'${expected}'; got status '${result}' and stderr:\n${err}")
+    "${BAD_ARG}: want exit status 2 and a diagnostic containing "
+    "'${EXPECT}'; got status '${result}' and stderr:\n${err}")
 endif()

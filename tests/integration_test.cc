@@ -18,6 +18,7 @@
 #include "similarity/matcher.h"
 #include "stream/pier_adapter.h"
 #include "stream/stream_simulator.h"
+#include "strategy_test_name.h"
 
 namespace pier {
 namespace {
@@ -89,20 +90,8 @@ TEST_P(StrategyIntegrationTest, GlobalityFindsCrossIncrementMatches) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyIntegrationTest,
-                         ::testing::Values(PierStrategy::kIPcs,
-                                           PierStrategy::kIPbs,
-                                           PierStrategy::kIPes),
-                         [](const auto& info) -> std::string {
-                           switch (info.param) {
-                             case PierStrategy::kIPcs:
-                               return "IPcs";
-                             case PierStrategy::kIPbs:
-                               return "IPbs";
-                             case PierStrategy::kIPes:
-                               return "IPes";
-                           }
-                           return "Unknown";
-                         });
+                         ::testing::ValuesIn(AllStrategies()),
+                         StrategyTestName);
 
 TEST(EarlyQualityTest, IPesBeatsBatchMidRun) {
   const Dataset d = SmallMovies();

@@ -317,7 +317,7 @@ void Exhaust(PierPipeline& pipeline, const Matcher& matcher) {
     const std::vector<Comparison> batch = pipeline.EmitBatch(256);
     if (batch.empty()) break;
     const std::vector<MatchVerdict> verdicts =
-        executor.ExecuteVerdicts(batch, pipeline.profiles());
+        executor.Execute(batch, pipeline.profiles());
     for (size_t i = 0; i < batch.size(); ++i) {
       if (verdicts[i].is_match) pipeline.RecordMatch(batch[i].x, batch[i].y);
     }
@@ -481,7 +481,7 @@ TEST(MutablePipelineTest, RandomizedInterleavingsMatchFromScratchOracle) {
     const std::vector<Comparison> batch = pipeline.EmitBatch(64);
     if (!batch.empty()) {
       const std::vector<MatchVerdict> verdicts =
-          executor.ExecuteVerdicts(batch, pipeline.profiles());
+          executor.Execute(batch, pipeline.profiles());
       for (size_t i = 0; i < batch.size(); ++i) {
         if (verdicts[i].is_match) {
           pipeline.RecordMatch(batch[i].x, batch[i].y);

@@ -58,7 +58,6 @@ std::vector<MatchVerdict> SequentialReference(
   for (size_t i = 0; i < batch.size(); ++i) {
     const EntityProfile& a = profiles.Get(batch[i].x);
     const EntityProfile& b = profiles.Get(batch[i].y);
-    verdicts[i].similarity = matcher.Similarity(a, b);
     verdicts[i].is_match = matcher.Matches(a, b);
     verdicts[i].cost_units = matcher.CostUnits(a, b);
   }
@@ -81,18 +80,15 @@ TEST(ParallelExecutorTest, VerdictStreamMatchesSequentialAtEveryThreadCount) {
     for (size_t i = 0; i < verdicts.size(); ++i) {
       ASSERT_EQ(verdicts[i].is_match, reference[i].is_match)
           << "i=" << i << " threads=" << threads;
-      ASSERT_EQ(verdicts[i].similarity, reference[i].similarity)
-          << "i=" << i << " threads=" << threads;
       ASSERT_EQ(verdicts[i].cost_units, reference[i].cost_units)
           << "i=" << i << " threads=" << threads;
     }
   }
 }
 
-// The verdict-only kernel path must reproduce the sequential
-// reference's is_match / cost_units streams exactly, for every matcher
-// family, threshold, and thread count (similarity is deliberately left
-// 0.0 on this path).
+// The verdict kernel path must reproduce the sequential reference's
+// is_match / cost_units streams exactly, for every matcher family,
+// threshold, and thread count.
 TEST(ParallelExecutorTest, VerdictPathStreamIdenticalAcrossMatchers) {
   const Workload w = MakeWorkload(2000);
   ASSERT_GT(w.comparisons.size(), 500u);
@@ -110,7 +106,7 @@ TEST(ParallelExecutorTest, VerdictPathStreamIdenticalAcrossMatchers) {
       for (const size_t threads : {1u, 2u, 8u}) {
         const ParallelMatchExecutor executor(matcher.get(), threads);
         const std::vector<MatchVerdict> verdicts =
-            executor.ExecuteVerdicts(w.comparisons, w.pipeline->profiles());
+            executor.Execute(w.comparisons, w.pipeline->profiles());
         ASSERT_EQ(verdicts.size(), reference.size());
         for (size_t i = 0; i < verdicts.size(); ++i) {
           ASSERT_EQ(verdicts[i].is_match, reference[i].is_match)
@@ -119,8 +115,6 @@ TEST(ParallelExecutorTest, VerdictPathStreamIdenticalAcrossMatchers) {
           ASSERT_EQ(verdicts[i].cost_units, reference[i].cost_units)
               << name << " t=" << threshold << " threads=" << threads
               << " i=" << i;
-          ASSERT_EQ(verdicts[i].similarity, 0.0)
-              << name << " verdict path must not compute scores, i=" << i;
         }
       }
     }
@@ -144,23 +138,18 @@ TEST(ParallelExecutorTest, SmallBatchRunsInlineButIdentically) {
   ASSERT_EQ(verdicts.size(), reference.size());
   for (size_t i = 0; i < verdicts.size(); ++i) {
     EXPECT_EQ(verdicts[i].is_match, reference[i].is_match);
-    EXPECT_EQ(verdicts[i].similarity, reference[i].similarity);
-  }
-  // Same inline shortcut on the verdict path.
-  const auto inline_verdicts =
-      executor.ExecuteVerdicts(w.comparisons, w.pipeline->profiles());
-  ASSERT_EQ(inline_verdicts.size(), reference.size());
-  for (size_t i = 0; i < inline_verdicts.size(); ++i) {
-    EXPECT_EQ(inline_verdicts[i].is_match, reference[i].is_match);
+    EXPECT_EQ(verdicts[i].cost_units, reference[i].cost_units);
   }
 }
 
+// Same, through the ProfileLookup overload.
 TEST(ParallelExecutorTest, EmptyBatchVerdictPath) {
   const JaccardMatcher matcher(0.5);
   const ParallelMatchExecutor executor(&matcher, 4);
   ProfileStore store;
-  EXPECT_TRUE(
-      executor.ExecuteVerdicts(std::vector<Comparison>{}, store).empty());
+  const ParallelMatchExecutor::ProfileLookup lookup =
+      [&store](ProfileId id) -> const EntityProfile& { return store.Get(id); };
+  EXPECT_TRUE(executor.Execute(std::vector<Comparison>{}, lookup).empty());
 }
 
 class ThrowingMatcher : public Matcher {

@@ -573,9 +573,7 @@ TEST_P(PipelinePersistTest, FingerprintMismatchRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PipelinePersistTest,
-                         ::testing::Values(PierStrategy::kIPcs,
-                                           PierStrategy::kIPbs,
-                                           PierStrategy::kIPes));
+                         ::testing::ValuesIn(AllStrategies()));
 
 // ---------------------------------------------------------------------------
 // CheckpointManager

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pier_pipeline.h"
+#include "strategy_test_name.h"
 
 namespace pier {
 namespace {
@@ -136,32 +137,27 @@ TEST_P(PipelineStrategyTest, ExactFilterAblationBehavesIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PipelineStrategyTest,
-                         ::testing::Values(PierStrategy::kIPcs,
-                                           PierStrategy::kIPbs,
-                                           PierStrategy::kIPes),
-                         [](const auto& info) -> std::string {
-                           switch (info.param) {
-                             case PierStrategy::kIPcs:
-                               return "IPcs";
-                             case PierStrategy::kIPbs:
-                               return "IPbs";
-                             case PierStrategy::kIPes:
-                               return "IPes";
-                           }
-                           return "Unknown";
-                         });
+                         ::testing::ValuesIn(AllStrategies()),
+                         StrategyTestName);
 
 TEST(PipelineTest, StrategyNames) {
   EXPECT_STREQ(ToString(PierStrategy::kIPcs), "I-PCS");
   EXPECT_STREQ(ToString(PierStrategy::kIPbs), "I-PBS");
   EXPECT_STREQ(ToString(PierStrategy::kIPes), "I-PES");
+  EXPECT_STREQ(ToString(PierStrategy::kSperSk), "SPER-SK");
+  EXPECT_STREQ(ToString(PierStrategy::kFbPcs), "FB-PCS");
+  ASSERT_EQ(AllStrategies().size(), 5u);
+  EXPECT_STREQ(KnownAlgorithmNames(), "I-PCS, I-PBS, I-PES, SPER-SK, FB-PCS");
 }
 
 TEST(PipelineTest, AdaptiveKFeedbackFlows) {
   PierPipeline pipeline(SmallOptions(PierStrategy::kIPes));
   pipeline.ReportArrival(0.0);
   pipeline.ReportArrival(1.0);
-  pipeline.ReportBatchCost(100, 0.001);
+  pipeline.Ingest({Raw(0, 0, "alpha"), Raw(1, 0, "alpha")});
+  const std::vector<Comparison> batch = pipeline.EmitBatch(10);
+  ASSERT_EQ(batch.size(), 1u);
+  pipeline.RecordVerdicts(batch, {MatchVerdict{true, 1}}, 0.001);
   EXPECT_DOUBLE_EQ(pipeline.adaptive_k().MeanInterarrival(), 1.0);
   EXPECT_GT(pipeline.adaptive_k().FindK(), 0u);
 }

@@ -92,9 +92,7 @@ TEST_P(PipelineFuzzTest, EmissionInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     Fuzz, PipelineFuzzTest,
     ::testing::Combine(::testing::Values(1u, 7u, 21u, 42u, 77u, 99u),
-                       ::testing::Values(PierStrategy::kIPcs,
-                                         PierStrategy::kIPbs,
-                                         PierStrategy::kIPes)));
+                       ::testing::ValuesIn(AllStrategies())));
 
 class SimulatorInvariantTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -199,9 +197,7 @@ TEST_P(DegenerateInputTest, ManyIdenticalProfiles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, DegenerateInputTest,
-                         ::testing::Values(PierStrategy::kIPcs,
-                                           PierStrategy::kIPbs,
-                                           PierStrategy::kIPes));
+                         ::testing::ValuesIn(AllStrategies()));
 
 }  // namespace
 }  // namespace pier

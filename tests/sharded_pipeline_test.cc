@@ -195,7 +195,7 @@ void RunReference(const Dataset& d, size_t increments, const Matcher& matcher,
     const std::vector<Comparison> batch = pipeline.EmitBatch(1024);
     if (batch.empty()) break;
     const std::vector<MatchVerdict> verdicts =
-        executor.ExecuteVerdicts(batch, pipeline.profiles());
+        executor.Execute(batch, pipeline.profiles());
     for (size_t i = 0; i < batch.size(); ++i) {
       log->executed.insert(batch[i].Key());
       ++log->delivered;

@@ -1,15 +1,18 @@
 // Command-line flags shared by the pier tools: `--key=value` and bare
-// `--key` (value "1") arguments, read back as strings or as checked
-// numbers.
+// `--key` (value "1") arguments, checked against the tool's list of
+// known flags and read back as strings or as checked numbers.
 
 #ifndef PIER_TOOLS_FLAGS_H_
 #define PIER_TOOLS_FLAGS_H_
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 
@@ -17,7 +20,11 @@ namespace pier::tools {
 
 using Flags = std::map<std::string, std::string>;
 
-inline Flags ParseArgs(int argc, char** argv) {
+// Parses argv. A positional argument or a flag not in `known` (say, a
+// typo such as --algoritm, which would otherwise be silently ignored)
+// prints a diagnostic and exits with status 2.
+inline Flags ParseArgs(int argc, char** argv,
+                       std::initializer_list<std::string_view> known) {
   Flags args;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -33,6 +40,12 @@ inline Flags ParseArgs(int argc, char** argv) {
       args.insert_or_assign(arg, std::string("1"));
     } else {
       args.insert_or_assign(arg.substr(0, eq), arg.substr(eq + 1));
+    }
+  }
+  for (const auto& [key, value] : args) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+      std::exit(2);
     }
   }
   return args;

@@ -19,12 +19,12 @@
 // the data through the stream simulator and reports progressive
 // quality; without it, it runs the pipeline and prints matched pairs.
 //
-// --algorithm picks the prioritization strategy (case-insensitive;
-// --strategy is an accepted alias for older scripts): the paper trio
-// plus the frontier strategies SPER-SK (stochastic top-k sampling,
-// seeded by --frontier-seed for deterministic replay) and FB-PCS
-// (verdict feedback folded back into block scores). `auto` runs the
-// selector heuristic over a data sample.
+// --algorithm picks the prioritization strategy (case-insensitive):
+// the paper trio plus the frontier strategies SPER-SK (stochastic
+// top-k sampling, seeded by --frontier-seed for deterministic replay)
+// and FB-PCS (verdict feedback folded back into block scores). `auto`
+// runs the selector heuristic over a data sample. An unknown name or
+// an unknown flag exits with status 2.
 //
 // --metrics-out streams JSON-lines metric snapshots (see src/obs/) to
 // FILE: one snapshot per --metrics-interval seconds of (virtual) run
@@ -182,7 +182,13 @@ class MutationDriver {
 
 int main(int argc, char** argv) {
   using namespace pier;
-  const auto args = ParseArgs(argc, argv);
+  const auto args = ParseArgs(
+      argc, argv,
+      {"profiles", "truth", "kind", "algorithm", "matcher", "threshold",
+       "increments", "rate", "budget", "max-block-size", "beta", "threads",
+       "frontier-seed", "cost-model", "metrics-out", "metrics-interval",
+       "checkpoint-dir", "checkpoint-every", "checkpoint-keep", "resume-from",
+       "print-matches", "serve-queries", "ingest-shards", "mutation-rate"});
   const std::string profiles_path = Get(args, "profiles", "");
   if (profiles_path.empty()) return Usage();
 
@@ -226,19 +232,13 @@ int main(int argc, char** argv) {
   options.prioritizer.frontier_seed =
       GetNumber<uint64_t>(args, "frontier-seed", 42);
 
-  // --algorithm is the canonical flag; --strategy stays as an alias
-  // for older scripts. Names resolve through the registry,
-  // case-insensitively.
-  std::string algorithm = Get(args, "algorithm", "");
-  if (algorithm.empty()) algorithm = Get(args, "strategy", "auto");
+  // Names resolve through the strategy table, case-insensitively.
+  const std::string algorithm = Get(args, "algorithm", "auto");
   std::string algorithm_lower = algorithm;
   std::transform(algorithm_lower.begin(), algorithm_lower.end(),
                  algorithm_lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  PierStrategy parsed_strategy;
-  if (ParseAlgorithmName(algorithm, &parsed_strategy)) {
-    options.strategy = parsed_strategy;
-  } else if (algorithm_lower == "auto") {
+  if (algorithm_lower == "auto") {
     // Auto: analyze a sample with the selector heuristic.
     Tokenizer tokenizer;
     TokenDictionary dict;
@@ -255,11 +255,11 @@ int main(int argc, char** argv) {
     options.strategy = rec.strategy;
     std::fprintf(stderr, "strategy: %s (%s)\n", ToString(rec.strategy),
                  rec.rationale.c_str());
-  } else {
+  } else if (!ParseAlgorithmName(algorithm, &options.strategy)) {
     std::fprintf(stderr,
                  "pier_cli: unknown algorithm '%s' (valid names: auto, %s)\n",
                  algorithm.c_str(), KnownAlgorithmNames());
-    return 1;
+    return 2;
   }
 
   const std::string matcher_name = Get(args, "matcher", "JS");
@@ -568,11 +568,14 @@ int main(int argc, char** argv) {
   const auto increments =
       SplitIntoIncrements(*dataset, sim_options.num_increments);
   uint64_t matches = 0;
+  // The resolution step: emit, match, print, feed the verdicts back.
   auto drain = [&](bool full) {
     for (;;) {
       const auto batch = pipeline.EmitBatch(1024);
       if (batch.empty()) break;
+      const Stopwatch match_timer;
       const auto verdicts = executor.Execute(batch, pipeline.profiles());
+      pipeline.RecordVerdicts(batch, verdicts, match_timer.ElapsedSeconds());
       for (size_t i = 0; i < batch.size(); ++i) {
         if (verdicts[i].is_match) {
           std::printf("%u,%u\n", batch[i].x, batch[i].y);
@@ -599,6 +602,7 @@ int main(int argc, char** argv) {
         });
     drain(/*full=*/false);
   }
+  pipeline.NotifyStreamEnd();
   drain(/*full=*/true);
   if (options.metrics != nullptr) {
     // No virtual clock in resolution mode: stamp the final snapshot

@@ -113,7 +113,10 @@ size_t Scaled(size_t count, double scale) {
 
 int main(int argc, char** argv) {
   using namespace pier;
-  const auto args = ParseArgs(argc, argv);
+  const auto args =
+      ParseArgs(argc, argv,
+                {"dataset", "profiles-out", "truth-out", "scale", "seed",
+                 "stream", "records", "window"});
   const std::string name = Get(args, "dataset", "");
   const std::string profiles_path = Get(args, "profiles-out", "");
   if (name.empty() || profiles_path.empty()) return Usage();
