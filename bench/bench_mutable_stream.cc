@@ -15,7 +15,13 @@
 // BENCH_mutation.json in the repo root is the committed baseline; see
 // README for the refresh procedure.
 //
-// Also reports (no gate) the end-to-end mutable-pipeline mutation
+// Also reports (no gate) the retractable PairFilter -- the counting
+// filter plus the id-indexed pair registry that every retractable pair
+// path actually runs -- on a pair stream of the same length: its
+// TestAndAdd ns/op and bytes beside the raw counting filter's show
+// what the registry costs on top of the gated filter.
+//
+// And (no gate) the end-to-end mutable-pipeline mutation
 // throughput: deletes and corrections per second through PierPipeline
 // on a census workload, so regressions in the retraction path
 // (prioritizer purge, pair-registry take, cluster re-resolve) show up
@@ -36,6 +42,7 @@
 
 #include "bench/bench_harness.h"
 #include "core/pier_pipeline.h"
+#include "model/pair_filter.h"
 #include "util/counting_bloom_filter.h"
 #include "util/hashing.h"
 #include "util/scalable_bloom_filter.h"
@@ -50,7 +57,13 @@ struct FilterRep {
   double counting_ns_per_op = 0.0;
   size_t append_bytes = 0;
   size_t counting_bytes = 0;
+  double pair_filter_ns_per_op = 0.0;
+  size_t pair_filter_bytes = 0;
 };
+
+// Partners per profile in the pair stream: about what census-scale
+// blocking yields per profile.
+constexpr size_t kPartnersPerProfile = 40;
 
 FilterRep RunFilterRep(size_t num_keys) {
   FilterRep rep;
@@ -73,6 +86,21 @@ FilterRep RunFilterRep(size_t num_keys) {
     rep.counting_ns_per_op =
         sw.ElapsedSeconds() * 1e9 / static_cast<double>(num_keys);
     rep.counting_bytes = filter.ApproxMemoryBytes();
+  }
+  {
+    // num_keys pairs over num_keys / (kPartnersPerProfile / 2) ids.
+    const uint64_t profiles = num_keys * 2 / kPartnersPerProfile + 2;
+    PairFilter filter(/*exact=*/false, /*retractable=*/true);
+    Stopwatch sw;
+    for (size_t i = 0; i < num_keys; ++i) {
+      const auto x = static_cast<ProfileId>(Mix64(i) % profiles);
+      auto y = static_cast<ProfileId>(Mix64(i + num_keys) % profiles);
+      if (y == x) y = static_cast<ProfileId>((x + 1) % profiles);
+      (void)filter.TestAndAdd(x, y);
+    }
+    rep.pair_filter_ns_per_op =
+        sw.ElapsedSeconds() * 1e9 / static_cast<double>(num_keys);
+    rep.pair_filter_bytes = filter.ApproxMemoryBytes();
   }
   return rep;
 }
@@ -141,11 +169,13 @@ int main(int argc, char** argv) {
   // Filter microbench: same key stream through both filters.
   double best_append_ns = 0.0;
   double best_counting_ns = 0.0;
+  double best_pair_filter_ns = 0.0;
   size_t append_bytes = 0;
   size_t counting_bytes = 0;
+  size_t pair_filter_bytes = 0;
   RunFilterRep(num_keys);  // warm-up
   std::printf("rep,append_ns_per_op,counting_ns_per_op,append_bytes,"
-              "counting_bytes\n");
+              "counting_bytes,pair_filter_ns_per_op,pair_filter_bytes\n");
   for (size_t r = 0; r < reps; ++r) {
     const FilterRep rep = RunFilterRep(num_keys);
     if (best_append_ns == 0.0 || rep.append_ns_per_op < best_append_ns) {
@@ -155,10 +185,16 @@ int main(int argc, char** argv) {
         rep.counting_ns_per_op < best_counting_ns) {
       best_counting_ns = rep.counting_ns_per_op;
     }
+    if (best_pair_filter_ns == 0.0 ||
+        rep.pair_filter_ns_per_op < best_pair_filter_ns) {
+      best_pair_filter_ns = rep.pair_filter_ns_per_op;
+    }
     append_bytes = rep.append_bytes;
     counting_bytes = rep.counting_bytes;
-    std::printf("%zu,%.2f,%.2f,%zu,%zu\n", r, rep.append_ns_per_op,
-                rep.counting_ns_per_op, rep.append_bytes, rep.counting_bytes);
+    pair_filter_bytes = rep.pair_filter_bytes;
+    std::printf("%zu,%.2f,%.2f,%zu,%zu,%.2f,%zu\n", r, rep.append_ns_per_op,
+                rep.counting_ns_per_op, rep.append_bytes, rep.counting_bytes,
+                rep.pair_filter_ns_per_op, rep.pair_filter_bytes);
   }
   const double memory_ratio =
       append_bytes > 0
@@ -193,6 +229,11 @@ int main(int argc, char** argv) {
         << "    \"testandadd_ns\": " << best_counting_ns << ",\n"
         << "    \"memory_bytes\": " << counting_bytes << "\n"
         << "  },\n"
+        << "  \"retractable_pair_filter\": {\n"
+        << "    \"testandadd_ns\": " << best_pair_filter_ns << ",\n"
+        << "    \"memory_bytes\": " << pair_filter_bytes << ",\n"
+        << "    \"partners_per_profile\": " << kPartnersPerProfile << "\n"
+        << "  },\n"
         << "  \"memory_ratio\": " << memory_ratio << ",\n"
         << "  \"latency_ratio\": " << latency_ratio << ",\n"
         << "  \"gate_memory\": " << gate_memory << ",\n"
@@ -204,8 +245,10 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "gate: counting filter %.2fx memory (gate %.2fx), %.2fx "
-               "TestAndAdd latency (gate %.2fx); mutations %.1f/s\n",
+               "TestAndAdd latency (gate %.2fx); retractable pair filter "
+               "%.1f ns/op, %zu bytes (no gate); mutations %.1f/s\n",
                memory_ratio, gate_memory, latency_ratio, gate_latency,
+               best_pair_filter_ns, pair_filter_bytes,
                mutation.mutations_per_s);
   bool failed = false;
   if (gate_memory > 0.0 && memory_ratio > gate_memory) {

@@ -147,15 +147,10 @@ void IPbs::OnRetract(ProfileId id) {
   // profile's comparisons pass the filter again.
   cf_.Retract(id);
 
-  // CmpIndex: rebuild without the retracted profile's comparisons.
-  std::vector<Comparison> kept;
-  kept.reserve(index_.size());
-  for (const Comparison& c : index_.data()) {
-    if (c.x != id && c.y != id) kept.push_back(c);
-  }
-  if (kept.size() == index_.size()) return;
-  index_.Clear();
-  for (Comparison& c : kept) index_.Push(std::move(c));
+  // CmpIndex: drop the retracted profile's comparisons in place (one
+  // O(n) pass and heap rebuild; the dequeue order of the rest cannot
+  // change, CompareByBlockThenWeight being a strict total order).
+  index_.EraseIf([id](const Comparison& c) { return c.x == id || c.y == id; });
 }
 
 void IPbs::Snapshot(std::ostream& out) const {

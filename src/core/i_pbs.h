@@ -6,7 +6,9 @@
 // the block yielding the fewest unexecuted comparisons is scheduled,
 // its comparisons entering the global CmpIndex with a composite
 // (block size, CBS weight) priority. A scalable Bloom filter CF
-// (PairFilter) suppresses redundant comparisons [16].
+// (PairFilter) suppresses redundant comparisons [16]; it admits each
+// pair into the CmpIndex at most once, so it is the only pair filter
+// on the I-PBS path (the pipeline runs no executed filter behind it).
 
 #ifndef PIER_CORE_I_PBS_H_
 #define PIER_CORE_I_PBS_H_
@@ -33,6 +35,7 @@ class IPbs : public IncrementalPrioritizer {
   bool Dequeue(Comparison* out) override;
   bool Empty() const override { return index_.empty(); }
   void OnRetract(ProfileId id) override;
+  const PairFilter* UniquePairFilter() const override { return &cf_; }
   void Snapshot(std::ostream& out) const override;
   bool Restore(std::istream& in) override;
 
@@ -63,7 +66,8 @@ class IPbs : public IncrementalPrioritizer {
   // Bloom-based; retractable under options_.mutable_stream (part of
   // the pipeline fingerprint, so it also pins the snapshot format) so
   // OnRetract can withdraw a retracted profile's keys and a corrected
-  // profile's comparisons reschedule.
+  // profile's comparisons reschedule. A pair enters the CmpIndex only
+  // when CF first sees it, so Dequeue never repeats a pair.
   PairFilter cf_;
 
   BoundedPriorityQueue<Comparison, CompareByBlockThenWeight> index_;

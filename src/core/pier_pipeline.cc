@@ -99,8 +99,7 @@ PierPipeline::PierPipeline(PierOptions options)
     : options_(options),
       blocks_(options.kind, options.blocking),
       tokenizer_(options.tokenizer),
-      adaptive_k_(options.adaptive_k),
-      executed_(options.exact_executed_filter, options.mutable_stream) {
+      adaptive_k_(options.adaptive_k) {
   // The mutability mode is a pipeline-level decision; strategies see it
   // through their own options (it selects their pair-filter snapshot
   // format and enables OnRetract bookkeeping).
@@ -114,6 +113,11 @@ PierPipeline::PierPipeline(PierOptions options)
   prioritizer_ = Entry(options_.strategy)
                      .make(PrioritizerContext{&blocks_, &profiles_},
                            options_.prioritizer);
+  // One pair filter per pair path: a strategy whose own filter already
+  // keeps its emitted pairs unique (I-PBS's CF) gets no second one.
+  if (prioritizer_->UniquePairFilter() == nullptr) {
+    executed_.emplace(options_.exact_executed_filter, options_.mutable_stream);
+  }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& r = *options_.metrics;
     metrics_.profiles_ingested = r.GetCounter("pipeline.profiles_ingested");
@@ -219,8 +223,9 @@ void PierPipeline::RetractProfile(ProfileId id, WorkStats* stats) {
     dictionary_.DecrementDocFrequency(token);
   }
   // Withdraw every executed pair with this endpoint so a corrected
-  // profile's comparisons pass the filter again.
-  stats->index_ops += executed_.Retract(id);
+  // profile's comparisons pass the filter again (a strategy with its
+  // own unique-pair filter withdrew them in OnRetract).
+  if (executed_) stats->index_ops += executed_->Retract(id);
   if (options_.track_clusters) clusters_.RemoveProfile(id);
 }
 
@@ -336,7 +341,7 @@ std::vector<Comparison> PierPipeline::EmitBatch(size_t k, WorkStats* stats) {
       obs::CounterAdd(metrics_.comparisons_retracted);
       continue;
     }
-    if (executed_.TestAndAdd(c.x, c.y)) {
+    if (executed_ && executed_->TestAndAdd(c.x, c.y)) {
       obs::CounterAdd(metrics_.comparisons_suppressed);
       continue;
     }
@@ -429,8 +434,10 @@ void PierPipeline::Snapshot(persist::SnapshotBuilder& builder,
   blocks_.Snapshot(builder.AddSection(prefix + ".blocks"));
   prioritizer_->Snapshot(builder.AddSection(prefix + ".prioritizer"));
 
-  // The fingerprint pins the filter mode, hence its wire format.
-  executed_.Snapshot(builder.AddSection(prefix + ".filter"));
+  // The fingerprint pins the filter mode, hence its wire format. A
+  // strategy with its own unique-pair filter has no executed filter,
+  // and its snapshot no `.filter` section.
+  if (executed_) executed_->Snapshot(builder.AddSection(prefix + ".filter"));
 
   adaptive_k_.Snapshot(builder.AddSection(prefix + ".findk"));
   clusters_.Snapshot(builder.AddSection(prefix + ".clusters"));
@@ -444,7 +451,7 @@ void PierPipeline::Snapshot(persist::SnapshotBuilder& builder,
   obs::GaugeSet(metrics_.state_bytes_dictionary,
                 static_cast<double>(dictionary_.ApproxMemoryBytes()));
   obs::GaugeSet(metrics_.state_bytes_filter,
-                static_cast<double>(executed_.ApproxMemoryBytes()));
+                static_cast<double>(pair_filter().ApproxMemoryBytes()));
 }
 
 bool PierPipeline::Restore(const persist::SnapshotReader& reader,
@@ -501,10 +508,14 @@ bool PierPipeline::Restore(const persist::SnapshotReader& reader,
     return false;
   }
 
-  if (!reader.Open(prefix + ".filter", &section, error)) return false;
-  if (!executed_.Restore(section)) {
-    decode_error("filter");
-    return false;
+  // Without an executed filter a `.filter` section (written before
+  // I-PBS dropped its executed filter) is ignored.
+  if (executed_) {
+    if (!reader.Open(prefix + ".filter", &section, error)) return false;
+    if (!executed_->Restore(section)) {
+      decode_error("filter");
+      return false;
+    }
   }
 
   if (!reader.Open(prefix + ".findk", &section, error)) return false;

@@ -25,6 +25,7 @@
 #define PIER_CORE_PIER_PIPELINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,9 @@ struct PierOptions {
   TokenizerOptions tokenizer;
   // Use an exact hash set instead of the scalable Bloom filter for the
   // executed-comparison filter (ablation knob; exact never drops a
-  // pair but grows without bound).
+  // pair but grows without bound). Strategies whose own filter keeps
+  // their pairs unique (I-PBS) run no executed filter, so the knob
+  // does not apply to them.
   bool exact_executed_filter = false;
   // Worker threads for match execution (RealtimePipeline and other
   // executor-based deployments). 1 = sequential. The verdict stream is
@@ -112,11 +115,12 @@ struct PierOptions {
   // shard sub-pipelines: the combiner owns the single serving index.
   bool track_clusters = true;
   // Mutable streams: accept Delete / Update increments. Costs memory
-  // (the executed-comparison filter becomes a counting filter unless
-  // exact, plus a pair registry per filter so retraction can withdraw
-  // keys) and changes the snapshot wire format, so it participates in
-  // the options fingerprint (written only when set, keeping append-only
-  // snapshots byte-compatible with earlier versions). Mirrored into
+  // (each pair filter -- the executed-comparison filter, I-PBS's CF --
+  // becomes a counting filter unless exact, plus a pair registry per
+  // filter so retraction can withdraw keys) and changes the snapshot
+  // wire format, so it participates in the options fingerprint
+  // (written only when set, keeping append-only snapshots
+  // byte-compatible with earlier versions). Mirrored into
   // PrioritizerOptions by the constructor.
   bool mutable_stream = false;
 };
@@ -156,12 +160,11 @@ class PierPipeline {
   // Mutable streams (requires options.mutable_stream): retracts the
   // given live profiles. Each delete withdraws the profile from the
   // block collection, the token doc frequencies, the prioritizer's
-  // pending comparisons, the executed-comparison filter (via the pair
-  // registry), and the cluster index (surviving cluster members
-  // re-resolve over their remaining match edges); the profile store
-  // slot becomes a tombstone (ids are never reused). Ids already dead
-  // are skipped (idempotent, so shard routers can fan a delete out to
-  // every shard).
+  // pending comparisons, the pair filter (via its pair registry), and
+  // the cluster index (surviving cluster members re-resolve over their
+  // remaining match edges); the profile store slot becomes a tombstone
+  // (ids are never reused). Ids already dead are skipped (idempotent,
+  // so shard routers can fan a delete out to every shard).
   WorkStats Delete(const std::vector<ProfileId>& ids);
 
   // Mutable streams: corrections. Each profile replaces the live (or
@@ -186,7 +189,8 @@ class PierPipeline {
   void NotifyStreamEnd() { prioritizer_->OnStreamEnd(); }
 
   // Algorithm 1, lines 3-9: dequeues up to findK() best comparisons,
-  // suppressing any comparison already executed. When the index
+  // suppressing any comparison already executed (unless the strategy's
+  // own filter already keeps its pairs unique). When the index
   // underfills the batch, the pipeline pulls more work forward with
   // internal idle ticks (the blocking step's empty increments), so an
   // empty result means the pipeline is fully drained for now.
@@ -231,12 +235,19 @@ class PierPipeline {
   const BlockCollection& blocks() const { return blocks_; }
   const TokenDictionary& dictionary() const { return dictionary_; }
   const IncrementalPrioritizer& prioritizer() const { return *prioritizer_; }
+  // The one filter that deduplicates this pipeline's emitted pairs: the
+  // executed-comparison filter, or the strategy's own unique-pair
+  // filter when it has one (I-PBS's CF).
+  const PairFilter& pair_filter() const {
+    return executed_ ? *executed_ : *prioritizer_->UniquePairFilter();
+  }
   AdaptiveK& adaptive_k() { return adaptive_k_; }
   uint64_t comparisons_emitted() const { return comparisons_emitted_; }
 
   // Checkpoint support (see src/persist/snapshot.h): serializes every
   // stateful component -- dictionary, profile store, block collection,
-  // prioritizer internals, executed-comparison filter, findK
+  // prioritizer internals, executed-comparison filter (absent for
+  // I-PBS, whose CF is part of the prioritizer section), findK
   // controller -- into `<prefix>.*` sections, plus a `<prefix>.meta`
   // options fingerprint. The default prefix "pier" is the historical
   // single-pipeline layout; the sharded pipeline passes "shard<i>" so
@@ -303,7 +314,10 @@ class PierPipeline {
   serve::ClusterIndex clusters_;
   // Executed-comparison filter, in the mode picked by
   // exact_executed_filter and mutable_stream (see model/pair_filter.h).
-  PairFilter executed_;
+  // Absent when the strategy's UniquePairFilter() already keeps its
+  // emitted pairs unique; fixed at construction, so EmitBatch tests a
+  // cached flag rather than asking the strategy per pair.
+  std::optional<PairFilter> executed_;
   uint64_t comparisons_emitted_ = 0;
 };
 

@@ -27,6 +27,8 @@
 
 namespace pier {
 
+class PairFilter;
+
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
@@ -140,6 +142,14 @@ class IncrementalPrioritizer {
     (void)b;
     (void)is_match;
   }
+
+  // The filter that already keeps this strategy's emitted pairs
+  // unique, or null. A strategy that returns one never emits a pair
+  // twice unless an endpoint was retracted in between; the pipeline
+  // then runs no executed filter of its own behind it and reports this
+  // filter in its `persist.state_bytes.filter` gauge. I-PBS returns its
+  // comparison filter CF; every other strategy keeps the default.
+  virtual const PairFilter* UniquePairFilter() const { return nullptr; }
 
   // Checkpoint support (see src/persist/): serializes the strategy's
   // complete internal state (queues, per-token indexes, filters,

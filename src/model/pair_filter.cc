@@ -17,61 +17,56 @@ constexpr size_t kHeapBlockHeader = sizeof(void*);
 }  // namespace
 
 std::vector<ProfileId> PairRegistry::Take(ProfileId id) {
-  auto it = partners_.find(id);
-  if (it == partners_.end()) return {};
-  std::vector<ProfileId> taken = std::move(it->second);
-  partners_.erase(it);
+  if (id >= partners_.size()) return {};
+  // Swapping with an empty vector releases the list's storage too.
+  std::vector<ProfileId> taken;
+  taken.swap(partners_[id]);
   for (const ProfileId partner : taken) {
-    auto back = partners_.find(partner);
-    if (back == partners_.end()) continue;
-    auto& list = back->second;
+    auto& list = partners_[partner];
     auto pos = std::find(list.begin(), list.end(), id);
     if (pos != list.end()) {
       *pos = list.back();
       list.pop_back();
     }
-    if (list.empty()) partners_.erase(back);
+    if (list.empty()) std::vector<ProfileId>().swap(list);
   }
   num_pairs_ -= taken.size();
   return taken;
 }
 
 size_t PairRegistry::ApproxMemoryBytes() const {
-  constexpr size_t kNodeBytes =
-      sizeof(void*) +
-      sizeof(std::pair<const ProfileId, std::vector<ProfileId>>) +
-      kHeapBlockHeader;
-  size_t total = partners_.bucket_count() * sizeof(void*);
-  for (const auto& [id, list] : partners_) {
-    (void)id;
-    total += kNodeBytes + list.capacity() * sizeof(ProfileId) +
-             (list.capacity() > 0 ? kHeapBlockHeader : 0);
+  size_t total = partners_.capacity() * sizeof(std::vector<ProfileId>);
+  for (const auto& list : partners_) {
+    if (list.capacity() > 0) {
+      total += list.capacity() * sizeof(ProfileId) + kHeapBlockHeader;
+    }
   }
   return total;
 }
 
 void PairRegistry::Snapshot(std::ostream& out) const {
-  std::vector<ProfileId> ids;
-  ids.reserve(partners_.size());
-  for (const auto& [id, list] : partners_) {
-    (void)list;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  serial::WriteU64(out, ids.size());
-  for (const ProfileId id : ids) {
-    std::vector<ProfileId> list = partners_.at(id);
+  uint64_t count = 0;
+  for (const auto& list : partners_) count += list.empty() ? 0 : 1;
+  serial::WriteU64(out, count);
+  for (size_t id = 0; id < partners_.size(); ++id) {
+    if (partners_[id].empty()) continue;
+    std::vector<ProfileId> list = partners_[id];
     std::sort(list.begin(), list.end());
-    serial::WriteU32(out, id);
+    serial::WriteU32(out, static_cast<ProfileId>(id));
     serial::WriteVec(out, list, serial::WriteU32);
   }
 }
 
 bool PairRegistry::Restore(std::istream& in) {
-  if (!partners_.empty()) return false;
+  if (num_pairs_ != 0) return false;
   uint64_t count = 0;
   if (!serial::ReadU64(in, &count)) return false;
+  // Decoded in full before the table is sized, so a truncated payload
+  // never allocates for the ids it claims. The table covers every id
+  // the payload names, partners included, so Take stays in bounds.
+  std::vector<std::pair<ProfileId, std::vector<ProfileId>>> entries;
   uint64_t total = 0;
+  size_t table_size = 0;
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t id = 0;
     std::vector<ProfileId> list;
@@ -79,12 +74,21 @@ bool PairRegistry::Restore(std::istream& in) {
         !serial::ReadVec(in, &list, serial::ReadU32)) {
       return false;
     }
-    if (list.empty() || partners_.count(id) != 0) return false;
+    // Snapshot writes ids strictly ascending, never an empty list.
+    if (list.empty() || (!entries.empty() && id <= entries.back().first)) {
+      return false;
+    }
     total += list.size();
-    partners_.emplace(id, std::move(list));
+    table_size = std::max<size_t>(table_size, size_t{id} + 1);
+    for (const ProfileId partner : list) {
+      table_size = std::max<size_t>(table_size, size_t{partner} + 1);
+    }
+    entries.emplace_back(id, std::move(list));
   }
   // Every pair is recorded under both endpoints.
   if (total % 2 != 0) return false;
+  partners_.assign(table_size, {});
+  for (auto& [id, list] : entries) partners_[id] = std::move(list);
   num_pairs_ = total / 2;
   return true;
 }

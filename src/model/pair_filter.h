@@ -10,19 +10,24 @@
 //   exact  retractable  keys                          used by
 //   -----  -----------  ----------------------------  ------------------
 //   no     no           ScalableBloomFilter           default pipeline,
-//                                                     combiner, I-PBS
+//                                                     combiner, I-PBS CF
 //   no     yes          ScalableCountingBloomFilter   mutable_stream
 //                       + PairRegistry
 //   yes    no           exact hash set                exact_executed_filter
 //   yes    yes          exact hash set + PairRegistry both flags
 //
-// PierPipeline and the ShardedPipeline combiner take `exact` from
-// PierOptions::exact_executed_filter; I-PBS always passes false.
-// `retractable` is PierOptions::mutable_stream everywhere. Only the
-// active key structure is allocated. The Bloom modes may report a
-// never-seen pair as seen (a false positive, bounded by the scalable
-// filter's compound rate); the exact modes never do but grow without
-// bound.
+// Each pair path runs exactly one of these. PierPipeline's executed
+// filter and the ShardedPipeline combiner's delivered filter (engaged
+// at N>1 shards) take `exact` from PierOptions::exact_executed_filter.
+// I-PBS's CF admits each pair into its CmpIndex at most once, so it is
+// the only filter on the I-PBS path: the pipeline builds no executed
+// filter behind it (IncrementalPrioritizer::UniquePairFilter), and CF
+// always passes exact = false. `retractable` is
+// PierOptions::mutable_stream everywhere; its PairRegistry is a table
+// indexed by profile id. Only the active key structure is allocated.
+// The Bloom modes may report a never-seen pair as seen (a false
+// positive, bounded by the scalable filter's compound rate); the exact
+// modes never do but grow without bound.
 
 #ifndef PIER_MODEL_PAIR_FILTER_H_
 #define PIER_MODEL_PAIR_FILTER_H_
@@ -30,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <unordered_map>
 #include <unordered_set>
 #include <variant>
 #include <vector>
@@ -48,6 +52,10 @@ namespace pier {
 // registry records each pair under both endpoints and hands back (and
 // forgets) a profile's partner list on retraction.
 //
+// Profile ids are dense (ProfileStore indexes by them too), so the
+// partner lists live in a table indexed by id: one list header per id
+// up to the largest recorded one, no hash nodes.
+//
 // Each pair must be recorded exactly once (PairFilter records only
 // when the underlying insert actually happened), so Take removes each
 // key exactly once -- double removal would corrupt a counting filter's
@@ -55,6 +63,8 @@ namespace pier {
 class PairRegistry {
  public:
   void Add(ProfileId x, ProfileId y) {
+    const ProfileId hi = x < y ? y : x;
+    if (hi >= partners_.size()) partners_.resize(size_t{hi} + 1);
     partners_[x].push_back(y);
     partners_[y].push_back(x);
     ++num_pairs_;
@@ -65,11 +75,11 @@ class PairRegistry {
   std::vector<ProfileId> Take(ProfileId id);
 
   uint64_t num_pairs() const { return num_pairs_; }
-  bool empty() const { return partners_.empty(); }
+  bool empty() const { return num_pairs_ == 0; }
 
   size_t ApproxMemoryBytes() const;
 
-  // Canonical serialization: entries ascending by id, partner lists
+  // Canonical serialization: ids with partners ascending, partner lists
   // ascending (the in-memory order is immaterial to semantics).
   void Snapshot(std::ostream& out) const;
 
@@ -78,7 +88,8 @@ class PairRegistry {
   bool Restore(std::istream& in);
 
  private:
-  std::unordered_map<ProfileId, std::vector<ProfileId>> partners_;
+  // partners_[id]: the partners recorded for `id` (empty: none).
+  std::vector<std::vector<ProfileId>> partners_;
   uint64_t num_pairs_ = 0;
 };
 

@@ -12,6 +12,7 @@
 #ifndef PIER_UTIL_BOUNDED_PRIORITY_QUEUE_H_
 #define PIER_UTIL_BOUNDED_PRIORITY_QUEUE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <limits>
@@ -104,6 +105,30 @@ class BoundedPriorityQueue {
     if (v_.size() >= 2 && less_(v_[1], v_[0])) std::swap(v_[0], v_[1]);
     SiftDownMin(0);
     return out;
+  }
+
+  // Removes every element matching `pred` and restores the interval
+  // heap with one bottom-up rebuild: O(n) however many elements go,
+  // where re-pushing the survivors would cost O(n log n). Returns the
+  // number removed. The queue's pop order is unchanged -- Less is a
+  // strict total order, so dequeues depend only on the stored multiset.
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
+    const auto kept_end = std::remove_if(v_.begin(), v_.end(), pred);
+    const auto removed = static_cast<size_t>(v_.end() - kept_end);
+    if (removed == 0) return 0;
+    v_.erase(kept_end, v_.end());
+    // Last node first: order the node's interval, then sift both ends
+    // into the subtrees below, which are already valid interval heaps.
+    for (size_t node = (v_.size() + 1) / 2; node-- > 0;) {
+      const size_t lo = 2 * node;
+      if (lo + 1 < v_.size() && less_(v_[lo + 1], v_[lo])) {
+        std::swap(v_[lo], v_[lo + 1]);
+      }
+      SiftDownMin(node);
+      SiftDownMax(node);
+    }
+    return removed;
   }
 
   // Read-only view of the underlying storage (heap order, not sorted).

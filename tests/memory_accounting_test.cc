@@ -192,5 +192,32 @@ TEST(CountingAllocatorTest, PairFilterFootprintMatchesAllocatedBytes) {
   }
 }
 
+TEST(CountingAllocatorTest, PairRegistryFootprintMatchesAllocatedBytes) {
+  // The registry is a table indexed by profile id: one list header per
+  // id up to the largest recorded, a heap block per non-empty partner
+  // list. Pairs only among every third id of 30k leave two thirds of
+  // the slots empty; Take then empties some lists and shrinks others,
+  // and the gauge must track both the table and the surviving lists.
+  const size_t before = LiveBytes();
+  {
+    PairRegistry registry;
+    uint64_t state = 777;
+    for (int i = 0; i < 60000; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const auto x = static_cast<ProfileId>((state >> 20) % 10000 * 3);
+      const auto y = static_cast<ProfileId>((state >> 40) % 10000 * 3);
+      if (x != y) registry.Add(x, y);
+    }
+    for (ProfileId id = 0; id < 30000; id += 21) (void)registry.Take(id);
+    const size_t claimed = registry.ApproxMemoryBytes();
+    const size_t actual = LiveBytes() - before;
+    EXPECT_GE(claimed, actual * 9 / 10)
+        << "claimed=" << claimed << " actual=" << actual;
+    EXPECT_LE(claimed, actual * 11 / 10)
+        << "claimed=" << claimed << " actual=" << actual;
+  }
+  EXPECT_EQ(LiveBytes(), before);
+}
+
 }  // namespace
 }  // namespace pier

@@ -293,6 +293,22 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
     std::istringstream in(out.str());
     EXPECT_FALSE(registry.Restore(in));
   }
+  // Even but one-sided content naming partners past the last entry id
+  // decodes (symmetry is not checked); Take must stay in bounds.
+  {
+    std::ostringstream out;
+    serial::WriteU64(out, 2);
+    serial::WriteU32(out, 1);
+    serial::WriteVec(out, std::vector<ProfileId>{9}, serial::WriteU32);
+    serial::WriteU32(out, 2);
+    serial::WriteVec(out, std::vector<ProfileId>{40}, serial::WriteU32);
+    PairRegistry registry;
+    std::istringstream in(out.str());
+    ASSERT_TRUE(registry.Restore(in));
+    EXPECT_EQ(registry.Take(1), (std::vector<ProfileId>{9}));
+    EXPECT_EQ(registry.Take(2), (std::vector<ProfileId>{40}));
+    EXPECT_TRUE(registry.Take(40).empty());
+  }
   // A non-empty registry refuses to restore over itself.
   {
     PairRegistry donor;

@@ -701,5 +701,94 @@ TEST(ApproxMemoryBytesTest, ExactFilterGaugeGrowsWithExecutedPairs) {
   EXPECT_GE(filter_gauge() - before, 8.0 * static_cast<double>(executed));
 }
 
+// I-PBS runs no executed filter: its CF (inside the prioritizer
+// section) is the one filter on its pair path. The filter gauge must
+// report CF, not 0, and grow with CF's pair registry.
+TEST(ApproxMemoryBytesTest, IPbsFilterGaugeReportsComparisonFilter) {
+#ifdef PIER_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#endif
+  obs::MetricsRegistry registry;
+  PierOptions options;
+  options.kind = DatasetKind::kDirty;
+  options.strategy = PierStrategy::kIPbs;
+  options.mutable_stream = true;
+  options.metrics = &registry;
+  PierPipeline pipeline(options);
+  const PairFilter* cf = pipeline.prioritizer().UniquePairFilter();
+  ASSERT_NE(cf, nullptr);
+  EXPECT_EQ(&pipeline.pair_filter(), cf);
+  const auto filter_gauge = [&] {
+    persist::SnapshotBuilder builder;
+    pipeline.Snapshot(builder);
+    return registry.GetGauge("persist.state_bytes.filter")->Value();
+  };
+  pipeline.Ingest(SampleIncrement(0, 60));
+  const double before = filter_gauge();
+  EXPECT_EQ(before, static_cast<double>(cf->ApproxMemoryBytes()));
+  size_t emitted = 0;
+  for (int round = 0; round < 20; ++round) {
+    emitted += pipeline.EmitBatch(64).size();
+  }
+  ASSERT_GT(emitted, 100u);
+  // Each scheduled pair adds two registry entries of one id each.
+  EXPECT_GE(filter_gauge() - before, 8.0 * static_cast<double>(emitted));
+  EXPECT_EQ(filter_gauge(), static_cast<double>(cf->ApproxMemoryBytes()));
+}
+
+// Only strategies without a unique-pair filter of their own write a
+// `.filter` section; an I-PBS restore ignores one (as written before
+// I-PBS dropped its executed filter) and continues identically.
+TEST(PipelinePersistFilterSectionTest, IPbsWritesNoneAndIgnoresOne) {
+  for (const PierStrategy strategy : AllStrategies()) {
+    PierOptions options;
+    options.strategy = strategy;
+    options.mutable_stream = true;
+    PierPipeline pipeline(options);
+    pipeline.Ingest(SampleIncrement(0, 30));
+    (void)pipeline.EmitBatch(16);
+    persist::SnapshotBuilder builder;
+    pipeline.Snapshot(builder);
+    std::istringstream in(builder.Bytes());
+    persist::SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Parse(in, &error)) << error;
+    const bool own_filter =
+        pipeline.prioritizer().UniquePairFilter() != nullptr;
+    EXPECT_EQ(own_filter, strategy == PierStrategy::kIPbs)
+        << ToString(strategy);
+    EXPECT_EQ(reader.Has("pier.filter"), !own_filter) << ToString(strategy);
+    if (!own_filter) continue;
+
+    std::vector<std::pair<std::string, std::string>> sections;
+    for (const std::string& name : reader.section_names()) {
+      sections.emplace_back(name, *reader.Section(name));
+    }
+    PairFilter stale(/*exact=*/false, /*retractable=*/true);
+    (void)stale.TestAndAdd(0, 1);
+    std::ostringstream stale_bytes;
+    stale.Snapshot(stale_bytes);
+    sections.emplace_back("pier.filter", stale_bytes.str());
+    std::istringstream framed(
+        FrameWithVersion(persist::kFormatVersion, sections));
+    persist::SnapshotReader with_filter;
+    ASSERT_TRUE(with_filter.Parse(framed, &error)) << error;
+    ASSERT_TRUE(with_filter.Has("pier.filter"));
+
+    PierPipeline restored(options);
+    ASSERT_TRUE(restored.Restore(with_filter, &error)) << error;
+    persist::SnapshotBuilder again;
+    restored.Snapshot(again);
+    EXPECT_EQ(again.Bytes(), builder.Bytes());
+    for (int round = 0; round < 20; ++round) {
+      const auto a = pipeline.EmitBatch(16);
+      const auto b = restored.EmitBatch(16);
+      ASSERT_EQ(a.size(), b.size()) << "round " << round;
+      for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].Key(), b[i].Key());
+      if (a.empty()) break;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pier

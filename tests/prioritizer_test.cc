@@ -14,6 +14,8 @@
 #include "core/i_pcs.h"
 #include "core/i_pes.h"
 #include "core/prioritizer.h"
+#include "util/bounded_priority_queue.h"
+#include "util/rng.h"
 
 namespace pier {
 namespace {
@@ -242,6 +244,84 @@ TEST_F(IPbsTest, CleanCleanOnlyCrossSource) {
   for (const auto& c : emitted) {
     EXPECT_NE(cc_profiles.Get(c.x).source, cc_profiles.Get(c.y).source);
   }
+}
+
+// Retraction compacts the CmpIndex in place. Two I-PBS instances see
+// the same single block of 20 profiles (190 pairs, scheduled at once);
+// one retracts profiles 5 and 12. Its dequeue sequence must be the
+// other's with exactly the pairs of 5 and 12 left out.
+TEST_F(IPbsTest, OnRetractDropsExactlyTheRetractedPairs) {
+  std::vector<std::pair<SourceId, std::vector<TokenId>>> specs(20, {0, {0}});
+  const auto delta = AddIncrement(std::move(specs));
+  options_.mutable_stream = true;
+  IPbs reference(Ctx(), options_);
+  IPbs retracted(Ctx(), options_);
+  reference.UpdateCmpIndex(delta);
+  retracted.UpdateCmpIndex(delta);
+  retracted.OnRetract(5);
+  retracted.OnRetract(12);
+
+  const auto involves_retracted = [](const Comparison& c) {
+    return c.x == 5 || c.y == 5 || c.x == 12 || c.y == 12;
+  };
+  std::vector<Comparison> expected;
+  for (const Comparison& c : Drain(reference)) {
+    if (!involves_retracted(c)) expected.push_back(c);
+  }
+  const std::vector<Comparison> actual = Drain(retracted);
+  ASSERT_EQ(actual.size(), 190u - 37u);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].Key(), expected[i].Key()) << i;
+  }
+}
+
+// The same at the index level, against the implementation the in-place
+// compaction replaced: copy the survivors, Clear, re-Push each. Block
+// sizes and weights collide on purpose, so the Key() tie break decides
+// many pops; later pushes meet the compacted heap too.
+TEST(IPbsCmpIndexTest, InPlaceCompactionDequeuesLikeRebuild) {
+  using Index = BoundedPriorityQueue<Comparison, CompareByBlockThenWeight>;
+  Rng rng(7);
+  const auto random_comparison = [&] {
+    for (;;) {
+      const auto x = static_cast<ProfileId>(rng.UniformInt(0, 99));
+      const auto y = static_cast<ProfileId>(rng.UniformInt(0, 99));
+      if (x == y) continue;
+      return Comparison(x, y, 0.25 * static_cast<double>(rng.UniformInt(1, 3)),
+                        static_cast<uint32_t>(rng.UniformInt(2, 5)));
+    }
+  };
+  Index compacted(400);
+  for (int i = 0; i < 1500; ++i) compacted.PushBounded(random_comparison());
+  Index rebuilt = compacted;
+  for (const ProfileId id : {3u, 17u, 42u, 99u}) {
+    const auto involves = [id](const Comparison& c) {
+      return c.x == id || c.y == id;
+    };
+    const size_t before = rebuilt.size();
+    std::vector<Comparison> kept;
+    for (const Comparison& c : rebuilt.data()) {
+      if (!involves(c)) kept.push_back(c);
+    }
+    rebuilt.Clear();
+    for (const Comparison& c : kept) rebuilt.Push(c);
+    EXPECT_EQ(compacted.EraseIf(involves), before - kept.size());
+    ASSERT_EQ(compacted.size(), rebuilt.size());
+    for (int i = 0; i < 20; ++i) {
+      const Comparison c = random_comparison();
+      EXPECT_EQ(compacted.PushBounded(c), rebuilt.PushBounded(c));
+    }
+  }
+  while (!rebuilt.empty()) {
+    ASSERT_FALSE(compacted.empty());
+    const Comparison a = compacted.PopMax();
+    const Comparison b = rebuilt.PopMax();
+    ASSERT_EQ(a.Key(), b.Key());
+    ASSERT_EQ(a.weight, b.weight);
+    ASSERT_EQ(a.block_size, b.block_size);
+  }
+  EXPECT_TRUE(compacted.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -235,6 +235,55 @@ TEST(BoundedPriorityQueueTest, InterleavedPushPushBoundedPopsMatchOracle) {
   }
 }
 
+// EraseIf compacts in place and rebuilds the heap bottom-up. At every
+// size from 0 to 40 (odd and even tails, the size<=2 special cases),
+// the survivors must pop from both ends as the multiset oracle says,
+// including after further pushes onto the rebuilt heap.
+TEST(BoundedPriorityQueueTest, EraseIfMatchesOracle) {
+  Rng rng(20261018);
+  for (size_t n = 0; n <= 40; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      BoundedPriorityQueue<int> q;
+      std::multiset<int> oracle;
+      for (size_t i = 0; i < n; ++i) {
+        const int x = static_cast<int>(rng.UniformInt(0, 31));
+        q.Push(x);
+        oracle.insert(x);
+      }
+      const int residue = static_cast<int>(rng.UniformInt(0, 3));
+      const auto doomed = [residue](int x) { return x % 4 == residue; };
+      size_t removed = 0;
+      for (auto it = oracle.begin(); it != oracle.end();) {
+        if (doomed(*it)) {
+          it = oracle.erase(it);
+          ++removed;
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(q.EraseIf(doomed), removed);
+      ASSERT_EQ(q.size(), oracle.size());
+      for (int i = 0; i < 3; ++i) {
+        const int x = static_cast<int>(rng.UniformInt(0, 31));
+        q.Push(x);
+        oracle.insert(x);
+      }
+      bool from_max = trial % 2 == 0;
+      while (!oracle.empty()) {
+        if (from_max) {
+          ASSERT_EQ(q.PopMax(), *std::prev(oracle.end())) << n;
+          oracle.erase(std::prev(oracle.end()));
+        } else {
+          ASSERT_EQ(q.PopMin(), *oracle.begin()) << n;
+          oracle.erase(oracle.begin());
+        }
+        from_max = !from_max;
+      }
+      ASSERT_TRUE(q.empty());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BloomFilter / ScalableBloomFilter
 // ---------------------------------------------------------------------------
