@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -34,6 +33,7 @@
 #include "stream/realtime_pipeline.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -118,18 +118,12 @@ RepResult RunRep(const Dataset& dataset, const Matcher& matcher,
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t gate_p99_ns = 1000000;  // 1 ms: the sub-ms ROADMAP target
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--gate-p99-ns=", 14) == 0) {
-      gate_p99_ns = std::strtoull(argv[i] + 14, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  const tools::Flags args =
+      tools::ParseArgs(argc, argv, {"gate-p99-ns", "json-out"});
+  // 1 ms: the sub-ms ROADMAP target.
+  const auto gate_p99_ns =
+      tools::GetNumber<uint64_t>(args, "gate-p99-ns", 1000000);
+  const std::string json_out = tools::Get(args, "json-out", "");
 
   const bool paper = bench::PaperScale();
   const bool tiny = bench::TinyScale();

@@ -25,7 +25,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -36,6 +35,7 @@
 #include "core/pier_pipeline.h"
 #include "frontier/sper_sk.h"
 #include "util/stopwatch.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -98,21 +98,13 @@ double SchedulingNsPerComparison(const Dataset& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double gate_quality = 0.95;
-  double gate_overhead = 0.7;
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--gate-quality=", 15) == 0) {
-      gate_quality = std::strtod(argv[i] + 15, nullptr);
-    } else if (std::strncmp(argv[i], "--gate-overhead=", 16) == 0) {
-      gate_overhead = std::strtod(argv[i] + 16, nullptr);
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  const tools::Flags args = tools::ParseArgs(
+      argc, argv, {"gate-quality", "gate-overhead", "json-out"});
+  const double gate_quality =
+      tools::GetNumber<double>(args, "gate-quality", 0.95);
+  const double gate_overhead =
+      tools::GetNumber<double>(args, "gate-overhead", 0.7);
+  const std::string json_out = tools::Get(args, "json-out", "");
 
   // Quality is judged on the bibliographic dataset (the canonical
   // quality workload of the figure benches); scheduling overhead on

@@ -17,6 +17,7 @@
 #include "similarity/intersect_kernel.h"
 #include "similarity/matcher.h"
 #include "similarity/string_distance.h"
+#include "tests/weighting_reference.h"
 #include "text/tokenizer.h"
 #include "util/bounded_priority_queue.h"
 #include "util/rng.h"

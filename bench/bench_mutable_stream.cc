@@ -35,7 +35,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -47,6 +46,7 @@
 #include "util/hashing.h"
 #include "util/scalable_bloom_filter.h"
 #include "util/stopwatch.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -145,21 +145,12 @@ MutationRep RunMutationRep(const Dataset& dataset) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double gate_memory = 2.0;
-  double gate_latency = 1.3;
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--gate-memory=", 14) == 0) {
-      gate_memory = std::strtod(argv[i] + 14, nullptr);
-    } else if (std::strncmp(argv[i], "--gate-latency=", 15) == 0) {
-      gate_latency = std::strtod(argv[i] + 15, nullptr);
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  const tools::Flags args = tools::ParseArgs(
+      argc, argv, {"gate-memory", "gate-latency", "json-out"});
+  const double gate_memory = tools::GetNumber<double>(args, "gate-memory", 2.0);
+  const double gate_latency =
+      tools::GetNumber<double>(args, "gate-latency", 1.3);
+  const std::string json_out = tools::Get(args, "json-out", "");
 
   const bool paper = bench::PaperScale();
   const bool tiny = bench::TinyScale();

@@ -12,7 +12,7 @@
 // job gates on this).
 //
 // Arguments:
-//   argv[1] (optional)  allowed overhead fraction, default 0.05
+//   --gate-overhead=F   allowed overhead fraction, default 0.05
 //   PIER_BENCH_SCALE    tiny|small|paper workload size
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "obs/metrics.h"
 #include "similarity/parallel_executor.h"
 #include "util/stopwatch.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -62,7 +63,8 @@ uint64_t RunWorkload(const Dataset& dataset, const Matcher& matcher,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double allowed = argc > 1 ? std::atof(argv[1]) : 0.05;
+  const tools::Flags args = tools::ParseArgs(argc, argv, {"gate-overhead"});
+  const double allowed = tools::GetNumber<double>(args, "gate-overhead", 0.05);
   const bool paper = bench::PaperScale();
   const bool tiny = bench::TinyScale();
 

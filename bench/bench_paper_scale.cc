@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -66,6 +65,7 @@
 #include "similarity/parallel_executor.h"
 #include "util/serial.h"
 #include "util/stopwatch.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -103,42 +103,27 @@ struct Args {
   double gate_rss = 0.10;
 };
 
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--profiles=")) {
-      args->profiles = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--increment=")) {
-      args->increment = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--batch-k=")) {
-      args->batch_k = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--seed=")) {
-      args->seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--window=")) {
-      args->window = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--checkpoint-dir=")) {
-      args->checkpoint_dir = v;
-    } else if (const char* v = value("--checkpoint-every=")) {
-      args->checkpoint_every = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--resume-from=")) {
-      args->resume_from = v;
-    } else if (const char* v = value("--json-out=")) {
-      args->json_out = v;
-    } else if (const char* v = value("--baseline=")) {
-      args->baseline = v;
-    } else if (const char* v = value("--gate-throughput-regression=")) {
-      args->gate_throughput = std::strtod(v, nullptr);
-    } else if (const char* v = value("--gate-rss-regression=")) {
-      args->gate_rss = std::strtod(v, nullptr);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
+bool ReadArgs(int argc, char** argv, Args* args) {
+  const tools::Flags flags = tools::ParseArgs(
+      argc, argv,
+      {"profiles", "increment", "batch-k", "seed", "window", "checkpoint-dir",
+       "checkpoint-every", "resume-from", "json-out", "baseline",
+       "gate-throughput-regression", "gate-rss-regression"});
+  args->profiles = tools::GetNumber(flags, "profiles", args->profiles);
+  args->increment = tools::GetNumber(flags, "increment", args->increment);
+  args->batch_k = tools::GetNumber(flags, "batch-k", args->batch_k);
+  args->seed = tools::GetNumber(flags, "seed", args->seed);
+  args->window = tools::GetNumber(flags, "window", args->window);
+  args->checkpoint_dir = tools::Get(flags, "checkpoint-dir", "");
+  args->checkpoint_every =
+      tools::GetNumber(flags, "checkpoint-every", args->checkpoint_every);
+  args->resume_from = tools::Get(flags, "resume-from", "");
+  args->json_out = tools::Get(flags, "json-out", "");
+  args->baseline = tools::Get(flags, "baseline", "");
+  args->gate_throughput = tools::GetNumber(
+      flags, "gate-throughput-regression", args->gate_throughput);
+  args->gate_rss =
+      tools::GetNumber(flags, "gate-rss-regression", args->gate_rss);
   if (args->increment == 0 || args->batch_k == 0) {
     std::fprintf(stderr, "--increment and --batch-k must be positive\n");
     return false;
@@ -195,7 +180,7 @@ bool ReadProgress(const persist::SnapshotReader& reader, Progress* p,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) return 2;
+  if (!ReadArgs(argc, argv, &args)) return 2;
   const bool paper = bench::PaperScale();
   const bool tiny = bench::TinyScale();
   if (args.profiles == 0) {

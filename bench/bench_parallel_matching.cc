@@ -9,8 +9,8 @@
 //
 // Environment / arguments:
 //   PIER_BENCH_SCALE=tiny|paper smaller / larger dataset + comparisons
-//   argv[1] (optional)          cap on the number of comparisons, for
-//                               CI smoke runs (e.g. 2000)
+//   --max-comparisons=N                cap on the number of comparisons,
+//                                      for CI smoke runs (e.g. 2000)
 
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +21,7 @@
 #include "core/pier_pipeline.h"
 #include "similarity/parallel_executor.h"
 #include "util/stopwatch.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -49,14 +50,14 @@ std::vector<Comparison> CollectComparisons(const Dataset& dataset,
 int main(int argc, char** argv) {
   const bool paper = bench::PaperScale();
   const bool tiny = bench::TinyScale();
+  const tools::Flags args = tools::ParseArgs(argc, argv, {"max-comparisons"});
+  const auto max_comparisons = tools::GetNumber<size_t>(
+      args, "max-comparisons", paper ? 200000 : tiny ? 4000 : 40000);
 
   DbpediaOptions data_options;
   data_options.source0_count = paper ? 8000 : tiny ? 700 : 2000;
   data_options.source1_count = paper ? 10000 : tiny ? 900 : 2600;
   const Dataset dataset = GenerateDbpedia(data_options);
-
-  size_t max_comparisons = paper ? 200000 : tiny ? 4000 : 40000;
-  if (argc > 1) max_comparisons = std::stoul(argv[1]);
 
   PierOptions options;
   options.kind = dataset.kind;

@@ -21,7 +21,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -30,6 +29,7 @@
 #include "bench/bench_harness.h"
 #include "stream/sharded_pipeline.h"
 #include "util/stopwatch.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -76,18 +76,12 @@ RepResult RunRep(const Dataset& dataset, const Matcher& matcher,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double gate_speedup = 0.0;  // off by default: meaningless on 1 core
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--gate-speedup=", 15) == 0) {
-      gate_speedup = std::strtod(argv[i] + 15, nullptr);
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  const tools::Flags args =
+      tools::ParseArgs(argc, argv, {"gate-speedup", "json-out"});
+  // Off by default: meaningless on 1 core.
+  const double gate_speedup =
+      tools::GetNumber<double>(args, "gate-speedup", 0.0);
+  const std::string json_out = tools::Get(args, "json-out", "");
 
   const bool paper = bench::PaperScale();
   const bool tiny = bench::TinyScale();

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "text/tokenizer.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -253,22 +253,24 @@ int RunGate(double gate_ed, double gate_js) {
 int main(int argc, char** argv) {
   // Strip the gate flags before google-benchmark sees (and rejects)
   // them.
-  double gate_ed = 0.0;
-  double gate_js = 0.0;
-  bool gate = false;
+  tools::Flags gates;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--gate-ed=", 10) == 0) {
-      gate_ed = std::atof(argv[i] + 10);
-      gate = true;
-    } else if (std::strncmp(argv[i], "--gate-js=", 10) == 0) {
-      gate_js = std::atof(argv[i] + 10);
-      gate = true;
+    const std::string_view arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string_view key = arg.substr(0, eq);
+    if (key == "--gate-ed" || key == "--gate-js") {
+      gates.insert_or_assign(
+          std::string(key.substr(2)),
+          std::string(eq == std::string_view::npos ? "" : arg.substr(eq + 1)));
     } else {
       argv[out++] = argv[i];
     }
   }
   argc = out;
+  const double gate_ed = tools::GetNumber<double>(gates, "gate-ed", 0.0);
+  const double gate_js = tools::GetNumber<double>(gates, "gate-js", 0.0);
+  const bool gate = !gates.empty();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("pier_build_type", PIER_BUILD_TYPE);

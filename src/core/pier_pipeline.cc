@@ -1,6 +1,5 @@
 #include "core/pier_pipeline.h"
 
-#include <algorithm>
 #include <cctype>
 #include <iterator>
 #include <sstream>
@@ -151,63 +150,59 @@ PierPipeline::PierPipeline(PierOptions options)
 PierPipeline::~PierPipeline() = default;
 
 WorkStats PierPipeline::Ingest(std::vector<EntityProfile> profiles) {
+  return AddProfiles(std::move(profiles), /*tokenize=*/true,
+                     /*correction=*/false);
+}
+
+WorkStats PierPipeline::IngestTokenized(std::vector<EntityProfile> profiles) {
+  return AddProfiles(std::move(profiles), /*tokenize=*/false,
+                     /*correction=*/false);
+}
+
+WorkStats PierPipeline::AddProfiles(std::vector<EntityProfile> profiles,
+                                    bool tokenize, bool correction) {
+  PIER_CHECK(!correction || options_.mutable_stream);
   const obs::ScopedTimer timer(metrics_.ingest_ns);
   WorkStats stats;
   std::vector<ProfileId> delta;
   delta.reserve(profiles.size());
-  // Data Reading: scrub/tokenize; Incremental Blocking: extend the
-  // block collection. All of the increment is blocked before any of
-  // its comparisons are generated, so only_older_neighbors covers
-  // intra-increment pairs too.
+  // Data Reading and Incremental Blocking, one profile at a time (its
+  // token ids are still in cache when blocking reads them). All of the
+  // increment is blocked before any of its comparisons are generated,
+  // so only_older_neighbors covers intra-increment pairs too.
   for (auto& profile : profiles) {
-    tokenizer_.TokenizeProfile(profile, dictionary_);
+    const ProfileId id = profile.id;
+    if (correction) {
+      PIER_CHECK(id < profiles_.size());
+      if (profiles_.IsLive(id)) RetractProfile(id, &stats);
+    }
+    if (tokenize) tokenizer_.TokenizeProfile(profile, dictionary_);
     stats.tokens += profile.tokens().size();
     ++stats.profiles;
-    delta.push_back(profile.id);
+    delta.push_back(id);
     stats.block_updates += blocks_.AddProfile(profile);
-    profiles_.Add(std::move(profile));
+    if (!correction) {
+      profiles_.Add(std::move(profile));
+      continue;
+    }
+    profiles_.Replace(std::move(profile));
+    // The corrected profile re-enters as a singleton; its cluster
+    // re-forms from post-update verdicts over the rescheduled pairs.
+    if (options_.track_clusters) clusters_.ReviveAsSingleton(id);
   }
   stats += prioritizer_->UpdateCmpIndex(delta);
+  obs::CounterAdd(metrics_.increments);
+  obs::CounterAdd(metrics_.block_updates, stats.block_updates);
+  if (correction) {
+    obs::CounterAdd(metrics_.profiles_updated, stats.profiles);
+    return stats;
+  }
   // Every ingested profile starts as a singleton cluster; the index
   // grows here (publish-then-release) so queries for new ids are valid
   // the moment Ingest returns.
   if (options_.track_clusters) clusters_.TrackUpTo(profiles_.size());
-  obs::CounterAdd(metrics_.increments);
   obs::CounterAdd(metrics_.profiles_ingested, stats.profiles);
   obs::CounterAdd(metrics_.tokens_ingested, stats.tokens);
-  obs::CounterAdd(metrics_.block_updates, stats.block_updates);
-  return stats;
-}
-
-WorkStats PierPipeline::IngestPretokenized(
-    std::vector<PretokenizedProfile> items) {
-  const obs::ScopedTimer timer(metrics_.ingest_ns);
-  WorkStats stats;
-  std::vector<ProfileId> delta;
-  delta.reserve(items.size());
-  for (auto& item : items) {
-    EntityProfile profile(item.id, item.source, {});
-    std::vector<TokenId> ids;
-    ids.reserve(item.tokens.size());
-    for (const auto& token : item.tokens) {
-      ids.push_back(dictionary_.Intern(token));
-    }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (const TokenId id : ids) dictionary_.IncrementDocFrequency(id);
-    profile.set_tokens(std::move(ids));
-    stats.tokens += profile.tokens().size();
-    ++stats.profiles;
-    delta.push_back(profile.id);
-    stats.block_updates += blocks_.AddProfile(profile);
-    profiles_.Add(std::move(profile));
-  }
-  stats += prioritizer_->UpdateCmpIndex(delta);
-  if (options_.track_clusters) clusters_.TrackUpTo(profiles_.size());
-  obs::CounterAdd(metrics_.increments);
-  obs::CounterAdd(metrics_.profiles_ingested, stats.profiles);
-  obs::CounterAdd(metrics_.tokens_ingested, stats.tokens);
-  obs::CounterAdd(metrics_.block_updates, stats.block_updates);
   return stats;
 }
 
@@ -219,9 +214,6 @@ void PierPipeline::RetractProfile(ProfileId id, WorkStats* stats) {
   const EntityProfile& p = profiles_.Get(id);
   stats->block_updates += blocks_.RemoveProfile(p);
   stats->tokens += p.tokens().size();
-  for (const TokenId token : p.tokens()) {
-    dictionary_.DecrementDocFrequency(token);
-  }
   // Withdraw every executed pair with this endpoint so a corrected
   // profile's comparisons pass the filter again (a strategy with its
   // own unique-pair filter withdrew them in OnRetract).
@@ -247,65 +239,13 @@ WorkStats PierPipeline::Delete(const std::vector<ProfileId>& ids) {
 }
 
 WorkStats PierPipeline::Update(std::vector<EntityProfile> profiles) {
-  PIER_CHECK(options_.mutable_stream);
-  const obs::ScopedTimer timer(metrics_.ingest_ns);
-  WorkStats stats;
-  std::vector<ProfileId> delta;
-  delta.reserve(profiles.size());
-  for (auto& profile : profiles) {
-    const ProfileId id = profile.id;
-    PIER_CHECK(id < profiles_.size());
-    if (profiles_.IsLive(id)) RetractProfile(id, &stats);
-    tokenizer_.TokenizeProfile(profile, dictionary_);
-    stats.tokens += profile.tokens().size();
-    ++stats.profiles;
-    delta.push_back(id);
-    stats.block_updates += blocks_.AddProfile(profile);
-    profiles_.Replace(std::move(profile));
-    // The corrected profile re-enters as a singleton; its cluster
-    // re-forms from post-update verdicts over the rescheduled pairs.
-    if (options_.track_clusters) clusters_.ReviveAsSingleton(id);
-  }
-  stats += prioritizer_->UpdateCmpIndex(delta);
-  obs::CounterAdd(metrics_.increments);
-  obs::CounterAdd(metrics_.profiles_updated, stats.profiles);
-  obs::CounterAdd(metrics_.block_updates, stats.block_updates);
-  return stats;
+  return AddProfiles(std::move(profiles), /*tokenize=*/true,
+                     /*correction=*/true);
 }
 
-WorkStats PierPipeline::UpdatePretokenized(
-    std::vector<PretokenizedProfile> items) {
-  PIER_CHECK(options_.mutable_stream);
-  const obs::ScopedTimer timer(metrics_.ingest_ns);
-  WorkStats stats;
-  std::vector<ProfileId> delta;
-  delta.reserve(items.size());
-  for (auto& item : items) {
-    const ProfileId id = item.id;
-    PIER_CHECK(id < profiles_.size());
-    if (profiles_.IsLive(id)) RetractProfile(id, &stats);
-    EntityProfile profile(id, item.source, {});
-    std::vector<TokenId> ids;
-    ids.reserve(item.tokens.size());
-    for (const auto& token : item.tokens) {
-      ids.push_back(dictionary_.Intern(token));
-    }
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (const TokenId tid : ids) dictionary_.IncrementDocFrequency(tid);
-    profile.set_tokens(std::move(ids));
-    stats.tokens += profile.tokens().size();
-    ++stats.profiles;
-    delta.push_back(id);
-    stats.block_updates += blocks_.AddProfile(profile);
-    profiles_.Replace(std::move(profile));
-    if (options_.track_clusters) clusters_.ReviveAsSingleton(id);
-  }
-  stats += prioritizer_->UpdateCmpIndex(delta);
-  obs::CounterAdd(metrics_.increments);
-  obs::CounterAdd(metrics_.profiles_updated, stats.profiles);
-  obs::CounterAdd(metrics_.block_updates, stats.block_updates);
-  return stats;
+WorkStats PierPipeline::UpdateTokenized(std::vector<EntityProfile> profiles) {
+  return AddProfiles(std::move(profiles), /*tokenize=*/false,
+                     /*correction=*/true);
 }
 
 WorkStats PierPipeline::Tick() {
@@ -393,28 +333,19 @@ void WriteOptionsFingerprint(std::ostream& out, const PierOptions& o) {
   serial::WriteU64(out, o.adaptive_k.window);
   serial::WriteF64(out, o.adaptive_k.target_utilization);
   serial::WriteF64(out, o.adaptive_k.gain);
-  // Shard identity, only when sharded: single-pipeline fingerprints
-  // stay byte-identical to format version 2, so older snapshots keep
-  // loading, while a shard section can never restore into a pipeline
+  // Shard identity: a shard section can never restore into a pipeline
   // owning a different token slice.
-  if (o.token_shard_count > 1) {
-    serial::WriteU32(out, o.token_shard_count);
-    serial::WriteU32(out, o.token_shard_index);
-  }
-  // Mutability mode, only when enabled (same compatibility reasoning):
-  // it selects the filter wire formats here and in the prioritizer
-  // sections, so an append-only pipeline can never load a mutable
-  // snapshot or vice versa.
-  if (o.mutable_stream) serial::WriteBool(out, true);
-  // Frontier knobs, only for the frontier strategies (they shape the
-  // emitted comparison stream, so a snapshot can never restore into a
-  // differently-seeded run); pre-frontier snapshots keep loading.
-  if (o.strategy == PierStrategy::kSperSk ||
-      o.strategy == PierStrategy::kFbPcs) {
-    serial::WriteU64(out, o.prioritizer.frontier_seed);
-    serial::WriteU64(out, o.prioritizer.frontier_sample_budget);
-    serial::WriteU64(out, o.prioritizer.frontier_probes);
-  }
+  serial::WriteU32(out, o.token_shard_count);
+  serial::WriteU32(out, o.token_shard_index);
+  // Mutability selects the filter wire formats here and in the
+  // prioritizer sections.
+  serial::WriteBool(out, o.mutable_stream);
+  // Frontier knobs shape the emitted comparison stream of the frontier
+  // strategies; every strategy writes them so the fingerprint has one
+  // length.
+  serial::WriteU64(out, o.prioritizer.frontier_seed);
+  serial::WriteU64(out, o.prioritizer.frontier_sample_budget);
+  serial::WriteU64(out, o.prioritizer.frontier_probes);
 }
 
 void SetRestoreError(std::string* error, const std::string& message) {
@@ -472,10 +403,14 @@ bool PierPipeline::Restore(const persist::SnapshotReader& reader,
   const std::string expected_bytes = std::move(expected).str();
   std::string actual_bytes(expected_bytes.size(), '\0');
   uint64_t comparisons_emitted = 0;
+  // The fingerprint has one length for every configuration; the
+  // section must end right after the emitted count.
   if (!meta.read(actual_bytes.data(),
                  static_cast<std::streamsize>(actual_bytes.size())) ||
-      !serial::ReadU64(meta, &comparisons_emitted)) {
-    SetRestoreError(error, "section '" + prefix + ".meta' truncated");
+      !serial::ReadU64(meta, &comparisons_emitted) ||
+      meta.peek() != std::istringstream::traits_type::eof()) {
+    SetRestoreError(error,
+                    "section '" + prefix + ".meta' has the wrong length");
     return false;
   }
   if (actual_bytes != expected_bytes) {
@@ -508,8 +443,7 @@ bool PierPipeline::Restore(const persist::SnapshotReader& reader,
     return false;
   }
 
-  // Without an executed filter a `.filter` section (written before
-  // I-PBS dropped its executed filter) is ignored.
+  // Without an executed filter no `.filter` section is read.
   if (executed_) {
     if (!reader.Open(prefix + ".filter", &section, error)) return false;
     if (!executed_->Restore(section)) {
@@ -524,14 +458,10 @@ bool PierPipeline::Restore(const persist::SnapshotReader& reader,
     return false;
   }
 
-  // Absent in v1 snapshots: the cluster index starts empty and
-  // repopulates from post-resume match verdicts.
-  if (reader.Has(prefix + ".clusters")) {
-    if (!reader.Open(prefix + ".clusters", &section, error)) return false;
-    if (!clusters_.Restore(section)) {
-      decode_error("clusters");
-      return false;
-    }
+  if (!reader.Open(prefix + ".clusters", &section, error)) return false;
+  if (!clusters_.Restore(section)) {
+    decode_error("clusters");
+    return false;
   }
 
   comparisons_emitted_ = comparisons_emitted;

@@ -104,10 +104,9 @@ struct PierOptions {
   // stream/sharded_pipeline.h): count > 1 marks this pipeline as
   // owning the slice of the token space with
   // Mix64(HashString(token)) % count == index. The pipeline itself
-  // does not filter tokens (the shard router pre-filters); the fields
-  // exist so a shard snapshot carries its identity in the options
-  // fingerprint. They are only written when count > 1, keeping
-  // single-pipeline snapshots byte-compatible with earlier versions.
+  // does not filter tokens (the shard router hands it only its slice);
+  // the fields exist so a shard snapshot carries its identity in the
+  // options fingerprint.
   uint32_t token_shard_count = 1;
   uint32_t token_shard_index = 0;
   // Maintain the in-pipeline cluster index (TrackUpTo on ingest,
@@ -118,22 +117,9 @@ struct PierOptions {
   // (each pair filter -- the executed-comparison filter, I-PBS's CF --
   // becomes a counting filter unless exact, plus a pair registry per
   // filter so retraction can withdraw keys) and changes the snapshot
-  // wire format, so it participates in the options fingerprint
-  // (written only when set, keeping append-only snapshots
-  // byte-compatible with earlier versions). Mirrored into
-  // PrioritizerOptions by the constructor.
+  // wire format, so it participates in the options fingerprint.
+  // Mirrored into PrioritizerOptions by the constructor.
   bool mutable_stream = false;
-};
-
-// One profile whose tokens were already normalized and split by an
-// upstream router (stream/sharded_pipeline.h): the pipeline interns
-// `tokens` into its own dictionary instead of re-tokenizing
-// attributes. `tokens` carries one entry per distinct token of the
-// profile that this pipeline owns.
-struct PretokenizedProfile {
-  ProfileId id = kInvalidProfileId;
-  SourceId source = 0;
-  std::vector<std::string> tokens;
 };
 
 class PierPipeline {
@@ -150,21 +136,21 @@ class PierPipeline {
   WorkStats Ingest(std::vector<EntityProfile> profiles);
 
   // Sharded-ingest seam: same as Ingest, but for profiles whose
-  // tokens were already normalized/split (and shard-filtered) by the
-  // router. Interns the given spellings into this pipeline's
-  // dictionary, builds blocks from them, and stores a token-only
-  // profile (no attributes / flat_text -- shard pipelines never feed
+  // sorted, de-duplicated token ids were already set by an upstream
+  // router (stream/sharded_pipeline.h) in an id space of its choosing;
+  // this pipeline's dictionary stays untouched. Shard engines receive
+  // token-only profiles (no attributes / flat_text -- they never feed
   // the matcher, which reads the router's global store instead).
-  WorkStats IngestPretokenized(std::vector<PretokenizedProfile> items);
+  WorkStats IngestTokenized(std::vector<EntityProfile> profiles);
 
   // Mutable streams (requires options.mutable_stream): retracts the
   // given live profiles. Each delete withdraws the profile from the
-  // block collection, the token doc frequencies, the prioritizer's
-  // pending comparisons, the pair filter (via its pair registry), and
-  // the cluster index (surviving cluster members re-resolve over their
-  // remaining match edges); the profile store slot becomes a tombstone
-  // (ids are never reused). Ids already dead are skipped (idempotent,
-  // so shard routers can fan a delete out to every shard).
+  // block collection, the prioritizer's pending comparisons, the pair
+  // filter (via its pair registry), and the cluster index (surviving
+  // cluster members re-resolve over their remaining match edges); the
+  // profile store slot becomes a tombstone (ids are never reused). Ids
+  // already dead are skipped (idempotent, so shard routers can fan a
+  // delete out to every shard).
   WorkStats Delete(const std::vector<ProfileId>& ids);
 
   // Mutable streams: corrections. Each profile replaces the live (or
@@ -175,10 +161,9 @@ class PierPipeline {
   // post-update match verdicts.
   WorkStats Update(std::vector<EntityProfile> profiles);
 
-  // Sharded-ingest seam for Update, mirroring IngestPretokenized: the
-  // router already normalized/split (and shard-filtered) the corrected
-  // profile's tokens.
-  WorkStats UpdatePretokenized(std::vector<PretokenizedProfile> items);
+  // Sharded-ingest seam for Update, mirroring IngestTokenized: the
+  // router already set the corrected profiles' token ids.
+  WorkStats UpdateTokenized(std::vector<EntityProfile> profiles);
 
   // The periodic empty increment the blocking step emits while the
   // stream is idle; lets the prioritizer pull older pairs forward.
@@ -272,6 +257,14 @@ class PierPipeline {
   void ReportBatchCost(size_t comparisons, double seconds) {
     adaptive_k_.OnBatchProcessed(comparisons, seconds);
   }
+
+  // The one body that adds profiles (Ingest, Update and their
+  // *Tokenized seams): per profile, retracts the live version a
+  // correction replaces, tokenizes (unless the caller already set the
+  // token ids), blocks and stores it; then schedules the increment's
+  // comparisons.
+  WorkStats AddProfiles(std::vector<EntityProfile> profiles, bool tokenize,
+                        bool correction);
 
   // Delete internals for one live profile (shared by Delete and the
   // retract half of Update): everything except the profile-store

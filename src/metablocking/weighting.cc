@@ -1,7 +1,6 @@
 #include "metablocking/weighting.h"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "similarity/string_distance.h"
 #include "util/check.h"
@@ -9,11 +8,6 @@
 namespace pier {
 
 namespace {
-
-struct NeighborStats {
-  uint32_t cbs = 0;
-  double arcs = 0.0;
-};
 
 double SafeLog(double x) { return std::log(x < 1.01 ? 1.01 : x); }
 
@@ -143,62 +137,6 @@ std::vector<Comparison> GenerateWeightedComparisons(
   AppendWeightedComparisons(ctx, x, retained_blocks, only_older_neighbors,
                             visits, scratch != nullptr ? *scratch : fallback,
                             &out);
-  return out;
-}
-
-std::vector<Comparison> GenerateWeightedComparisonsReference(
-    const WeightingContext& ctx, const EntityProfile& x,
-    const std::vector<TokenId>& retained_blocks, bool only_older_neighbors,
-    uint64_t* visits) {
-  PIER_DCHECK(ctx.blocks != nullptr && ctx.profiles != nullptr);
-  const BlockCollection& blocks = *ctx.blocks;
-  const DatasetKind kind = blocks.kind();
-
-  std::unordered_map<ProfileId, NeighborStats> neighbors;
-  for (const TokenId token : retained_blocks) {
-    const BlockView b = blocks.block(token);
-    const double arcs_share =
-        1.0 / static_cast<double>(
-                  std::max<uint64_t>(1, b.NumComparisons(kind)));
-    SourceId lo, hi;
-    NeighborSources(kind, x, &lo, &hi);
-    for (SourceId s = lo; s <= hi; ++s) {
-      if (visits != nullptr) *visits += b.members[s].size();
-      for (const ProfileId y : b.members[s]) {
-        if (y == x.id) continue;
-        if (only_older_neighbors && y > x.id) continue;
-        NeighborStats& stats = neighbors[y];
-        ++stats.cbs;
-        stats.arcs += arcs_share;
-      }
-    }
-  }
-
-  std::vector<Comparison> out;
-  out.reserve(neighbors.size());
-  const double num_blocks = static_cast<double>(blocks.NumBlocks());
-  const double bx = static_cast<double>(x.tokens().size());
-  for (const auto& [y, stats] : neighbors) {
-    const double by =
-        static_cast<double>(ctx.profiles->Get(y).tokens().size());
-    double w = 0.0;
-    switch (ctx.scheme) {
-      case WeightingScheme::kCbs:
-        w = stats.cbs;
-        break;
-      case WeightingScheme::kEcbs:
-        w = stats.cbs * SafeLog(num_blocks / std::max(1.0, bx)) *
-            SafeLog(num_blocks / std::max(1.0, by));
-        break;
-      case WeightingScheme::kJs:
-        w = stats.cbs / (bx + by - stats.cbs);
-        break;
-      case WeightingScheme::kArcs:
-        w = stats.arcs;
-        break;
-    }
-    out.emplace_back(x.id, y, w);
-  }
   return out;
 }
 

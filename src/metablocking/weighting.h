@@ -145,15 +145,6 @@ void AppendWeightedComparisons(const WeightingContext& ctx,
                                WeightingScratch& scratch,
                                std::vector<Comparison>* out);
 
-// Reference implementation built on a per-call std::unordered_map,
-// retained for the equivalence tests and the weighting-kernel
-// benchmark. Produces the same (x, y, weight) multiset as the scratch
-// kernel, in unspecified order.
-std::vector<Comparison> GenerateWeightedComparisonsReference(
-    const WeightingContext& ctx, const EntityProfile& x,
-    const std::vector<TokenId>& retained_blocks,
-    bool only_older_neighbors = true, uint64_t* visits = nullptr);
-
 // CBS weight of an explicit pair: the number of common tokens (each
 // distinct token is one block under token blocking). Used by I-PBS
 // (Algorithm 3, line 13) and by the fallback block scanner.

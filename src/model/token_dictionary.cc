@@ -43,7 +43,6 @@ TokenId TokenDictionary::Intern(std::string_view token) {
   const char* data = spelling_arena_.Append(token.data(), token.size());
   const TokenId id = static_cast<TokenId>(spellings_.size());
   spellings_.emplace_back(data, token.size());
-  doc_frequency_.push_back(0);
   table_[i] = Slot{h, id + 1};
   return id;
 }
@@ -59,27 +58,10 @@ std::string_view TokenDictionary::Spelling(TokenId id) const {
   return spellings_[id];
 }
 
-uint32_t TokenDictionary::DocFrequency(TokenId id) const {
-  PIER_DCHECK(id < doc_frequency_.size());
-  return doc_frequency_[id];
-}
-
-void TokenDictionary::IncrementDocFrequency(TokenId id) {
-  PIER_DCHECK(id < doc_frequency_.size());
-  ++doc_frequency_[id];
-}
-
-void TokenDictionary::DecrementDocFrequency(TokenId id) {
-  PIER_DCHECK(id < doc_frequency_.size());
-  PIER_CHECK(doc_frequency_[id] > 0);
-  --doc_frequency_[id];
-}
-
 void TokenDictionary::Snapshot(std::ostream& out) const {
   serial::WriteU64(out, spellings_.size());
   for (size_t i = 0; i < spellings_.size(); ++i) {
     serial::WriteString(out, spellings_[i]);
-    serial::WriteU32(out, doc_frequency_[i]);
   }
 }
 
@@ -89,14 +71,9 @@ bool TokenDictionary::Restore(std::istream& in) {
   if (!serial::ReadU64(in, &count)) return false;
   std::string spelling;
   for (uint64_t i = 0; i < count; ++i) {
-    uint32_t doc_frequency = 0;
-    if (!serial::ReadString(in, &spelling) ||
-        !serial::ReadU32(in, &doc_frequency)) {
-      return false;
-    }
+    if (!serial::ReadString(in, &spelling)) return false;
     // Duplicate spellings would break the id == index invariant.
     if (Intern(spelling) != static_cast<TokenId>(i)) return false;
-    doc_frequency_[i] = doc_frequency;
   }
   return true;
 }
@@ -104,7 +81,6 @@ bool TokenDictionary::Restore(std::istream& in) {
 size_t TokenDictionary::ApproxMemoryBytes() const {
   return spelling_arena_.ApproxMemoryBytes() +
          spellings_.capacity() * sizeof(std::string_view) +
-         doc_frequency_.capacity() * sizeof(uint32_t) +
          table_.capacity() * sizeof(Slot);
 }
 

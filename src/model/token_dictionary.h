@@ -1,8 +1,13 @@
 // Incremental token dictionary: interns token strings to dense
 // TokenIds. The blocking layer keys its block collection by TokenId,
 // so the dictionary is shared state between Data Reading and
-// Incremental Blocking. It also tracks per-token document frequency,
-// which the EJS weighting scheme consumes.
+// Incremental Blocking. Blocking needs nothing from a token but a
+// stable key, so the dictionary stores spellings and ids only. On the
+// sharded path the router's dictionary is the only one: shard engines
+// receive shard-local ids and keep their own dictionary empty (see
+// stream/sharded_pipeline.h). Spellings are never forgotten -- ids are
+// dense and shard routing hashes spellings, so a retracted profile
+// leaves its tokens interned.
 //
 // Memory layout (paper scale): spellings live in one append-only
 // char arena (model/arena.h) instead of one std::string each, and the
@@ -41,28 +46,17 @@ class TokenDictionary {
   // View into the spelling arena; valid for the dictionary's lifetime.
   std::string_view Spelling(TokenId id) const;
 
-  // Number of profiles whose token set contains `id` (document
-  // frequency); maintained by IncrementDocFrequency.
-  uint32_t DocFrequency(TokenId id) const;
-  void IncrementDocFrequency(TokenId id);
-  // Retraction counterpart (mutable streams): a deleted profile gives
-  // back one document per token. The spelling stays interned — ids are
-  // dense and shard routing hashes spellings, so forgetting one would
-  // break determinism.
-  void DecrementDocFrequency(TokenId id);
-
   size_t size() const { return spellings_.size(); }
 
-  // Serializes every interned token in id order together with its
-  // document frequency (canonical: same dictionary, same bytes).
+  // Serializes every interned spelling in id order (canonical: same
+  // dictionary, same bytes).
   void Snapshot(std::ostream& out) const;
 
   // Restores a Snapshot payload into this dictionary, which must be
   // empty. Returns false on decode failure.
   bool Restore(std::istream& in);
 
-  // Heap footprint estimate: spelling arena, views, ids map, and
-  // frequency vector.
+  // Heap footprint estimate: spelling arena, views and ids map.
   size_t ApproxMemoryBytes() const;
 
  private:
@@ -81,7 +75,6 @@ class TokenDictionary {
   std::vector<Slot> table_;  // power-of-two size, linear probing
   std::vector<std::string_view> spellings_;  // id -> arena view
   TextArena spelling_arena_;
-  std::vector<uint32_t> doc_frequency_;
 };
 
 }  // namespace pier

@@ -104,16 +104,11 @@ bool SnapshotReader::Parse(std::istream& in, std::string* error) {
     SetError(error, "snapshot truncated inside the header");
     return false;
   }
-  if (version < kMinSupportedFormatVersion || version > kFormatVersion) {
-    SetError(error,
-             version < kMinSupportedFormatVersion
-                 ? "snapshot version " + std::to_string(version) +
-                       " is too old (this build reads versions " +
-                       std::to_string(kMinSupportedFormatVersion) + ".." +
-                       std::to_string(kFormatVersion) + ")"
-                 : "unsupported snapshot version " + std::to_string(version) +
-                       " (this build reads versions up to " +
-                       std::to_string(kFormatVersion) + ")");
+  if (version != kFormatVersion) {
+    SetError(error, "unsupported snapshot version " + std::to_string(version) +
+                        " (this build reads version " +
+                        std::to_string(kFormatVersion) +
+                        " only; re-run the stream to rebuild)");
     return false;
   }
   if (section_count > kMaxSections) {

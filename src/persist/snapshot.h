@@ -20,13 +20,13 @@
 //   payloads                   concatenated in section-table order
 //
 // Versioning policy: any change to this layout or to any component's
-// payload encoding bumps kFormatVersion. Readers accept versions in
-// [kMinSupportedFormatVersion, kFormatVersion] -- older-but-supported
-// files simply lack sections added since (callers probe with Has()
-// and default the missing state) -- and reject everything else with a
-// version-specific diagnostic. Component payloads carry no
-// per-section version on purpose -- the single top-level version
-// gates the whole file.
+// payload encoding bumps kFormatVersion, and a reader accepts exactly
+// its own version: older and newer files are rejected with a
+// version-specific diagnostic (snapshots are checkpoints of a run,
+// not archives -- re-run the stream to rebuild). Every section a
+// component writes is therefore required on restore. Component
+// payloads carry no per-section version on purpose -- the single
+// top-level version gates the whole file.
 //
 // Validation contract: SnapshotReader::Parse verifies magic, version,
 // header CRC, every section's length and CRC, and exact file length
@@ -51,24 +51,9 @@ namespace pier {
 namespace persist {
 
 inline constexpr char kMagic[8] = {'P', 'I', 'E', 'R', 'S', 'N', 'A', 'P'};
-// Version 2: pipeline snapshots gained the 'pier.clusters' section and
-// simulator snapshots the 'sim.clusters' section (the online cluster
-// index / cluster-recall state). v1 files stay loadable: every other
-// section's encoding is unchanged, and restores treat the missing
-// cluster sections as an empty index (clusters repopulate from
-// post-resume match verdicts).
-//
-// Version 3: the sharded ingest path (stream/sharded_pipeline.h)
-// writes 'sharded.*' router sections plus one 'shard<i>.*' family per
-// shard engine, and the RealtimePipeline (now the one-shard case)
-// checkpoints in that layout instead of the old
-// 'pier.*'+'realtime.state' one. v1/v2 simulator and plain-pipeline
-// snapshots stay loadable unchanged; v2 *realtime* checkpoints are
-// rejected by the sharded restore with a missing-section diagnostic
-// (re-run the stream to rebuild -- realtime checkpoints are
-// best-effort durability, not archives).
-inline constexpr uint32_t kFormatVersion = 3;
-inline constexpr uint32_t kMinSupportedFormatVersion = 1;
+// The one version this build writes and reads (see the versioning
+// policy above).
+inline constexpr uint32_t kFormatVersion = 4;
 
 // Accumulates named sections in memory, then serializes the complete
 // framed snapshot in one pass. Section names must be unique and are

@@ -16,8 +16,6 @@ namespace pier {
 
 namespace {
 
-constexpr uint32_t kOwnerUnassigned = UINT32_MAX;
-
 obs::Histogram* LatencyHistogram(obs::MetricsRegistry* metrics) {
   return metrics == nullptr
              ? nullptr
@@ -46,6 +44,7 @@ ShardedPipeline::ShardedPipeline(ShardedOptions options, const Matcher* matcher,
       matcher_(matcher),
       on_match_(std::move(on_match)),
       tokenizer_(options_.pipeline.tokenizer),
+      shard_token_counts_(options_.shard_count, 0),
       delivered_(options_.pipeline.exact_executed_filter,
                  options_.pipeline.mutable_stream),
       verdict_queue_(options_.verdict_queue_capacity),
@@ -127,18 +126,31 @@ void ShardedPipeline::Stop() {
   if (combiner_.joinable()) combiner_.join();
 }
 
-size_t ShardedPipeline::OwnerOf(TokenId id) {
-  if (options_.shard_count == 1) return 0;
-  if (token_owner_.size() <= id) {
-    token_owner_.resize(dictionary_.size() > id ? dictionary_.size() : id + 1,
-                        kOwnerUnassigned);
+void ShardedPipeline::RouteNewTokens() {
+  for (auto id = static_cast<TokenId>(token_routes_.size());
+       id < dictionary_.size(); ++id) {
+    const auto shard = static_cast<uint32_t>(
+        Mix64(HashString(dictionary_.Spelling(id))) % options_.shard_count);
+    token_routes_.push_back({shard, shard_token_counts_[shard]++});
   }
-  uint32_t& owner = token_owner_[id];
-  if (owner == kOwnerUnassigned) {
-    owner = static_cast<uint32_t>(Mix64(HashString(dictionary_.Spelling(id))) %
-                                  options_.shard_count);
+}
+
+void ShardedPipeline::AppendShardSlices(
+    const EntityProfile& profile,
+    std::vector<std::vector<EntityProfile>>& slices) {
+  RouteNewTokens();
+  std::vector<std::vector<TokenId>> local(options_.shard_count);
+  // profile.tokens() is sorted by global id, and local ids keep
+  // global-id order within a shard, so every slice stays sorted.
+  for (const TokenId token : profile.tokens()) {
+    const TokenRoute route = token_routes_[token];
+    local[route.shard].push_back(route.local);
   }
-  return owner;
+  for (size_t s = 0; s < slices.size(); ++s) {
+    EntityProfile slice(profile.id, profile.source, {});
+    slice.set_tokens(std::move(local[s]));
+    slices[s].push_back(std::move(slice));
+  }
 }
 
 bool ShardedPipeline::Ingest(std::vector<EntityProfile> profiles) {
@@ -156,9 +168,8 @@ bool ShardedPipeline::Ingest(std::vector<EntityProfile> profiles) {
                  "pipeline and retry the restore\n");
     return false;
   }
-  const size_t shard_count = options_.shard_count;
   const double arrival_s = lifetime_.ElapsedSeconds();
-  std::vector<Microbatch> per_shard(shard_count);
+  std::vector<std::vector<EntityProfile>> slices(options_.shard_count);
   for (auto& profile : profiles) {
     // Multi-producer ingest cannot pre-assign dense ids; the router
     // assigns arrival order under its mutex.
@@ -166,20 +177,15 @@ bool ShardedPipeline::Ingest(std::vector<EntityProfile> profiles) {
       profile.id = static_cast<ProfileId>(profiles_.size());
     }
     tokenizer_.TokenizeProfile(profile, dictionary_);
-    for (size_t s = 0; s < shard_count; ++s) {
-      PretokenizedProfile item;
-      item.id = profile.id;
-      item.source = profile.source;
-      per_shard[s].items.push_back(std::move(item));
-    }
-    for (TokenId token : profile.tokens()) {
-      per_shard[OwnerOf(token)].items.back().tokens.emplace_back(
-          dictionary_.Spelling(token));
-    }
+    AppendShardSlices(profile, slices);
     profiles_.Add(std::move(profile));
   }
   clusters_.TrackUpTo(profiles_.size());
-  for (auto& microbatch : per_shard) microbatch.arrival_s = arrival_s;
+  std::vector<Microbatch> per_shard(options_.shard_count);
+  for (size_t s = 0; s < per_shard.size(); ++s) {
+    per_shard[s].profiles = std::move(slices[s]);
+    per_shard[s].arrival_s = arrival_s;
+  }
   // The arrival must be registered before the queues see the
   // microbatches: a fast worker can otherwise deliver this
   // increment's verdicts before the registration, and the ingest
@@ -241,11 +247,6 @@ void ShardedPipeline::RetractLocked(ProfileId id) {
   // shard whose slice of the profile was empty still tombstones its
   // store slot and keeps ids aligned.
   for (auto& shard : shards_) shard->pipeline->Delete({id});
-  // Global tokens / doc frequencies.
-  const EntityProfile& p = profiles_.Get(id);
-  for (const TokenId token : p.tokens()) {
-    dictionary_.DecrementDocFrequency(token);
-  }
   // The cross-shard delivered filter: withdraw every delivered pair
   // with this endpoint so a corrected profile's verdicts re-deliver.
   delivered_.Retract(id);
@@ -277,7 +278,7 @@ bool ShardedPipeline::Update(std::vector<EntityProfile> profiles) {
   if (!BeginMutationLocked("Update")) return false;
   const size_t shard_count = options_.shard_count;
   const double arrival_s = lifetime_.ElapsedSeconds();
-  std::vector<std::vector<PretokenizedProfile>> per_shard(shard_count);
+  std::vector<std::vector<EntityProfile>> slices(shard_count);
   for (auto& profile : profiles) {
     const ProfileId id = profile.id;
     PIER_CHECK(id < profiles_.size());
@@ -285,16 +286,7 @@ bool ShardedPipeline::Update(std::vector<EntityProfile> profiles) {
     // Re-ingest the corrected content exactly like Ingest routes a
     // fresh arrival: tokenize once globally, split tokens by owner.
     tokenizer_.TokenizeProfile(profile, dictionary_);
-    for (size_t s = 0; s < shard_count; ++s) {
-      PretokenizedProfile item;
-      item.id = id;
-      item.source = profile.source;
-      per_shard[s].push_back(std::move(item));
-    }
-    for (TokenId token : profile.tokens()) {
-      per_shard[OwnerOf(token)].back().tokens.emplace_back(
-          dictionary_.Spelling(token));
-    }
+    AppendShardSlices(profile, slices);
     profiles_.Replace(std::move(profile));
     clusters_.ReviveAsSingleton(id);
   }
@@ -303,8 +295,8 @@ bool ShardedPipeline::Update(std::vector<EntityProfile> profiles) {
   // parked); the post-update kick below wakes them to emit the
   // rescheduled comparisons.
   for (size_t s = 0; s < shard_count; ++s) {
-    if (!per_shard[s].empty()) {
-      shards_[s]->pipeline->UpdatePretokenized(std::move(per_shard[s]));
+    if (!slices[s].empty()) {
+      shards_[s]->pipeline->UpdateTokenized(std::move(slices[s]));
     }
   }
   std::vector<Microbatch> kick(shard_count);
@@ -388,8 +380,8 @@ void ShardedPipeline::IngestMicrobatch(Shard& shard, Microbatch& microbatch) {
     return;
   }
   shard.pipeline->ReportArrival(microbatch.arrival_s);
-  if (!microbatch.items.empty()) {
-    shard.pipeline->IngestPretokenized(std::move(microbatch.items));
+  if (!microbatch.profiles.empty()) {
+    shard.pipeline->IngestTokenized(std::move(microbatch.profiles));
   }
 }
 
@@ -670,6 +662,9 @@ bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,
       !dictionary_.Restore(section)) {
     return fail("section 'sharded.dictionary' failed to restore");
   }
+  // The token routes are a function of the dictionary (spelling hash
+  // and id order), so they rebuild here instead of being stored.
+  RouteNewTokens();
   if (!reader.Open("sharded.profiles", &section, error) ||
       !profiles_.Restore(section)) {
     return fail("section 'sharded.profiles' failed to restore");
@@ -706,8 +701,6 @@ bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,
   matches_.store(matches, std::memory_order_relaxed);
   duplicates_suppressed_.store(duplicates, std::memory_order_relaxed);
   clusters_.TrackUpTo(profiles_.size());
-  // The token-owner cache rebuilds lazily from the restored dictionary
-  // spellings; nothing to restore (the hash is deterministic).
   // Kick every shard with an empty microbatch: the restored
   // prioritizers may hold pending comparisons to resume emitting.
   std::vector<Microbatch> kick(options_.shard_count);

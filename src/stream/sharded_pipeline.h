@@ -21,22 +21,37 @@
 // cluster index or the user callback (shard.duplicates_suppressed
 // counts them).
 //
-// Determinism contract: each shard's verdict substream is
-// deterministic (same data, same substream, any thread count -- the
-// per-shard engine is the deterministic PierPipeline +
-// ParallelMatchExecutor). The combiner merges substreams in arrival
-// order, so the *interleaving* across shards varies run to run, but
-// the delivered verdict *set* and the final clusters are identical
-// for every shard count, including N = 1 -- canonical cluster ids
-// make cluster answers merge-order independent, and the equivalence
-// is enforced by tests/sharded_pipeline_test.cc against the
-// single-pipeline run.
+// One token dictionary: the router's. It tokenizes each profile once
+// and hands every shard a token-only profile whose ids are
+// *shard-local*: a token's local id is its rank among the shard's
+// tokens in global-id order. The router keeps each token's (owner,
+// local id) route beside the dictionary and rebuilds the routes from
+// it on restore, so shard engines never see a spelling and their own
+// dictionaries stay empty.
+//
+// Determinism contract: each shard's verdict substream is a
+// deterministic function of what it ingests between emissions, at any
+// match thread count (the per-shard engine is the deterministic
+// PierPipeline + ParallelMatchExecutor). The combiner merges
+// substreams in arrival order, so the *interleaving* across shards
+// varies run to run. With the exact executed filter and no block
+// purging, the delivered verdict *set* and the final clusters are
+// identical for every shard count, including N = 1 (canonical cluster
+// ids make cluster answers merge-order independent);
+// tests/sharded_pipeline_test.cc checks this for I-PES against the
+// single-pipeline run. Under the default configuration they are not:
+// how many microbatches a shard ingests between two EmitBatch calls,
+// and the wall-clock findK(), depend on thread timing, and with Bloom
+// filters, bounded queues and purging that changes which pairs
+// survive, so N > 1 runs deliver slightly different verdict sets from
+// run to run. N = 1 is deterministic.
 //
 // Threading model:
 //  * Producers call Ingest (thread-safe, serialized on the router
 //    mutex). The router tokenizes once into the global dictionary and
 //    the global chunked ProfileStore (the store matchers read,
-//    lock-free), then routes one microbatch per shard.
+//    lock-free), then routes one microbatch of token-only profiles
+//    per shard.
 //  * Microbatch queues are bounded: when a shard falls behind, Push
 //    blocks the router -- and transitively every producer -- until
 //    the shard catches up (head-of-line backpressure by design; the
@@ -218,10 +233,11 @@ class ShardedPipeline {
 
  private:
   // What the router sends each shard per Ingest: every profile of the
-  // increment with the shard's owned token slice (possibly empty --
-  // shard stores keep global dense ids).
+  // increment, token-only, with the shard's owned token slice as
+  // shard-local ids (possibly empty -- shard stores keep global dense
+  // ids).
   struct Microbatch {
-    std::vector<PretokenizedProfile> items;
+    std::vector<EntityProfile> profiles;
     double arrival_s = 0.0;
     bool stream_end = false;
   };
@@ -254,9 +270,14 @@ class ShardedPipeline {
   // section, so the Drain predicate can never observe "nothing queued,
   // everyone idle" while the pop is still in flight.
   void OnMicrobatchPopped(Shard& shard);
-  // Shard owning token `id`, computed once per token from its
-  // spelling. Caller holds ingest_mutex_.
-  size_t OwnerOf(TokenId id);
+  // Routes every dictionary id not routed yet, in id order: owner
+  // shard from the spelling hash, local id = the owner's next rank.
+  // Caller holds ingest_mutex_.
+  void RouteNewTokens();
+  // Appends `profile`'s token-only slice for every shard to
+  // slices[shard]. Caller holds ingest_mutex_.
+  void AppendShardSlices(const EntityProfile& profile,
+                         std::vector<std::vector<EntityProfile>>& slices);
   // Routes one microbatch per shard. Caller holds ingest_mutex_.
   // Returns false when any queue rejected its microbatch (closed by a
   // concurrent Stop()): part of the work was dropped and the caller
@@ -290,7 +311,14 @@ class ShardedPipeline {
   Tokenizer tokenizer_;
   TokenDictionary dictionary_;
   ProfileStore profiles_;
-  std::vector<uint32_t> token_owner_;  // TokenId -> owning shard
+  // Global TokenId -> (owner shard, shard-local id), one entry per
+  // dictionary id; shard_token_counts_[s] is shard s's next local id.
+  struct TokenRoute {
+    uint32_t shard;
+    TokenId local;
+  };
+  std::vector<TokenRoute> token_routes_;
+  std::vector<TokenId> shard_token_counts_;
   Stopwatch lifetime_;
   uint64_t ingest_count_ = 0;
   bool poisoned_ = false;

@@ -157,11 +157,7 @@ void StreamSimulator::SnapshotLoopState(persist::SnapshotBuilder& builder,
   serial::WriteF64(meta, options_.time_budget_s);
   serial::WriteU64(meta, options_.curve_granularity);
   serial::WriteU64(meta, options_.stall_limit);
-  // Conditional trailing field (see SimulatorOptions::frontier_seed):
-  // default-seeded runs keep the pre-frontier byte layout.
-  if (options_.frontier_seed != SimulatorOptions{}.frontier_seed) {
-    serial::WriteU64(meta, options_.frontier_seed);
-  }
+  serial::WriteU64(meta, options_.frontier_seed);
 
   std::ostream& st = builder.AddSection("sim.state");
   serial::WriteF64(st, state.vt);
@@ -223,6 +219,7 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
   double budget = 0.0;
   uint64_t granularity = 0;
   uint64_t stall_limit = 0;
+  uint64_t frontier_seed = 0;
   if (!serial::ReadString(meta, &alg_name) ||
       !serial::ReadString(meta, &dataset_name) ||
       !serial::ReadU64(meta, &num_profiles) ||
@@ -231,14 +228,12 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
       !serial::ReadU8(meta, &cost_mode) || !serial::ReadF64(meta, &rate) ||
       !serial::ReadF64(meta, &budget) ||
       !serial::ReadU64(meta, &granularity) ||
-      !serial::ReadU64(meta, &stall_limit)) {
+      !serial::ReadU64(meta, &stall_limit) ||
+      !serial::ReadU64(meta, &frontier_seed) ||
+      meta.peek() != std::istringstream::traits_type::eof()) {
     SetResumeError(error, "section 'sim.meta' failed to decode");
     return false;
   }
-  // Tolerant trailing read: absent means the snapshot was written with
-  // the default seed (pre-frontier layout or a default-seeded run).
-  uint64_t frontier_seed = SimulatorOptions{}.frontier_seed;
-  serial::ReadU64(meta, &frontier_seed);
   if (alg_name != algorithm.name()) {
     SetResumeError(error, "snapshot was taken with algorithm '" + alg_name +
                               "', not '" + algorithm.name() + "'");
@@ -311,39 +306,25 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
   for (const CurvePoint& p : points) s.result.curve.Add(p);
 
   s.tracker = std::make_unique<ClusterRecallTracker>(dataset_->truth);
-  if (reader.Has("sim.clusters")) {
-    std::istringstream cl;
-    if (!reader.Open("sim.clusters", &cl, error)) return false;
-    std::vector<CurvePoint> cluster_points;
-    if (!serial::ReadVec(cl, &cluster_points,
-                         [](std::istream& in, CurvePoint* p) {
-                           return serial::ReadF64(in, &p->time) &&
-                                  serial::ReadU64(in, &p->comparisons) &&
-                                  serial::ReadU64(in, &p->matches_found);
-                         })) {
-      SetResumeError(error, "section 'sim.clusters' failed to decode");
-      return false;
-    }
-    if (!s.tracker->Restore(cl)) {
-      SetResumeError(error, "section 'sim.clusters' failed to decode");
-      return false;
-    }
-    // Curve and cluster curve are recorded in lockstep.
-    if (cluster_points.size() != points.size()) {
-      SetResumeError(error,
-                     "section 'sim.clusters' is internally inconsistent");
-      return false;
-    }
-    for (const CurvePoint& p : cluster_points) s.result.cluster_curve.Add(p);
-  } else {
-    // v1 snapshot: no cluster state was recorded. The tracker's
-    // partition restarts empty, and the cluster curve is padded with
-    // zero-match points mirroring the PC curve so the two stay in
-    // lockstep (pre-resume cluster recall reports 0).
-    for (const CurvePoint& p : points) {
-      s.result.cluster_curve.Add({p.time, p.comparisons, 0});
-    }
+  std::istringstream cl;
+  if (!reader.Open("sim.clusters", &cl, error)) return false;
+  std::vector<CurvePoint> cluster_points;
+  if (!serial::ReadVec(cl, &cluster_points,
+                       [](std::istream& in, CurvePoint* p) {
+                         return serial::ReadF64(in, &p->time) &&
+                                serial::ReadU64(in, &p->comparisons) &&
+                                serial::ReadU64(in, &p->matches_found);
+                       }) ||
+      !s.tracker->Restore(cl)) {
+    SetResumeError(error, "section 'sim.clusters' failed to decode");
+    return false;
   }
+  // Curve and cluster curve are recorded in lockstep.
+  if (cluster_points.size() != points.size()) {
+    SetResumeError(error, "section 'sim.clusters' is internally inconsistent");
+    return false;
+  }
+  for (const CurvePoint& p : cluster_points) s.result.cluster_curve.Add(p);
 
   *state = std::move(s);
   return true;

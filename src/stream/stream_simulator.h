@@ -80,9 +80,7 @@ struct SimulatorOptions {
   // mirror PierOptions::prioritizer.frontier_seed here so the value is
   // recorded in (and validated against) checkpoint metadata -- a
   // resumed run can never silently continue a differently-seeded
-  // stream. Ignored by the deterministic strategies. Written to
-  // sim.meta only when it differs from the default, keeping earlier
-  // snapshots loadable.
+  // stream. Ignored by the deterministic strategies.
   uint64_t frontier_seed = 42;
 
   // An algorithm that refuses a due increment while holding no pending

@@ -80,7 +80,6 @@ void Tokenizer::TokenizeProfile(EntityProfile& profile,
       });
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  for (const TokenId id : ids) dict.IncrementDocFrequency(id);
   profile.set_tokens(std::move(ids));
   profile.set_flat_text(std::move(flat));
 }

@@ -37,8 +37,7 @@ class Tokenizer {
   std::vector<std::string> Split(std::string_view text) const;
 
   // Fills the profile's tokens (sorted, unique TokenIds over all
-  // attribute values) and flat text, interning new tokens into `dict`
-  // and bumping their document frequencies.
+  // attribute values) and flat text, interning new tokens into `dict`.
   void TokenizeProfile(EntityProfile& profile, TokenDictionary& dict) const;
 
  private:

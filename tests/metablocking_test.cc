@@ -7,6 +7,7 @@
 #include "metablocking/blocking_graph.h"
 #include "metablocking/i_wnp.h"
 #include "metablocking/weighting.h"
+#include "weighting_reference.h"
 
 namespace pier {
 namespace {

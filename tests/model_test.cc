@@ -34,15 +34,6 @@ TEST(TokenDictionaryTest, SpellingRoundTrips) {
   EXPECT_EQ(dict.Spelling(id), "gamma");
 }
 
-TEST(TokenDictionaryTest, DocFrequencyAccumulates) {
-  TokenDictionary dict;
-  const TokenId id = dict.Intern("tok");
-  EXPECT_EQ(dict.DocFrequency(id), 0u);
-  dict.IncrementDocFrequency(id);
-  dict.IncrementDocFrequency(id);
-  EXPECT_EQ(dict.DocFrequency(id), 2u);
-}
-
 TEST(ProfileStoreTest, AddAndGet) {
   ProfileStore store;
   store.Add(EntityProfile(0, 0, {{"a", "v"}}));

@@ -191,28 +191,27 @@ std::string FrameWithVersion(
   return std::move(out).str();
 }
 
-TEST(SnapshotTest, SupportedOlderVersionAccepted) {
-  // v1 files (pre cluster-index sections) must stay loadable.
-  std::ostringstream payload;
-  serial::WriteU64(payload, 7);
-  const std::string bytes = FrameWithVersion(
-      persist::kMinSupportedFormatVersion, {{"alpha", payload.str()}});
-  std::istringstream in(bytes);
+TEST(SnapshotTest, V3FileRejected) {
+  // The current version is the only format: a file framed at version
+  // 3 is refused before any section is exposed.
+  std::istringstream current(BuildSampleSnapshot());
   persist::SnapshotReader reader;
   std::string error;
-  ASSERT_TRUE(reader.Parse(in, &error)) << error;
-  ASSERT_TRUE(reader.Has("alpha"));
-  std::istringstream alpha;
-  ASSERT_TRUE(reader.Open("alpha", &alpha, &error)) << error;
-  uint64_t v = 0;
-  ASSERT_TRUE(serial::ReadU64(alpha, &v));
-  EXPECT_EQ(v, 7u);
+  ASSERT_TRUE(reader.Parse(current, &error)) << error;
+  std::vector<std::pair<std::string, std::string>> sections;
+  for (const std::string& name : reader.section_names()) {
+    sections.emplace_back(name, *reader.Section(name));
+  }
+  std::istringstream v3_in(FrameWithVersion(3, sections));
+  persist::SnapshotReader v3_reader;
+  EXPECT_FALSE(v3_reader.Parse(v3_in, &error));
+  EXPECT_NE(error.find("version 3"), std::string::npos) << error;
+  EXPECT_TRUE(v3_reader.section_names().empty());
 }
 
 TEST(SnapshotTest, OutOfRangeVersionsRejected) {
-  for (const uint32_t version :
-       {persist::kMinSupportedFormatVersion - 1,
-        persist::kFormatVersion + 1}) {
+  for (const uint32_t version : {uint32_t{0}, persist::kFormatVersion - 1,
+                                 persist::kFormatVersion + 1}) {
     const std::string bytes = FrameWithVersion(version, {});
     std::istringstream in(bytes);
     persist::SnapshotReader reader;
@@ -337,8 +336,6 @@ TEST(ComponentPersistTest, TokenDictionaryRoundTrip) {
   ExpectCanonicalRoundTrip(dict, restored);
   EXPECT_EQ(restored.size(), dict.size());
   EXPECT_EQ(restored.Lookup("gamma"), dict.Lookup("gamma"));
-  EXPECT_EQ(restored.DocFrequency(dict.Lookup("alpha")),
-            dict.DocFrequency(dict.Lookup("alpha")));
 }
 
 TEST(ComponentPersistTest, BlockCollectionRoundTrip) {
@@ -508,9 +505,9 @@ TEST_P(PipelinePersistTest, SnapshotRestoreSnapshotByteIdentical) {
   }
 }
 
-TEST_P(PipelinePersistTest, RestoreToleratesMissingClusterSection) {
-  // v1 snapshots predate 'pier.clusters'; restore must treat the
-  // missing section as an empty cluster index, not a hard failure.
+TEST_P(PipelinePersistTest, RestoreRejectsMissingClusterSection) {
+  // Every section a pipeline writes is required: a file without
+  // 'pier.clusters' is refused with a missing-section diagnostic.
   PierOptions options;
   options.kind = DatasetKind::kDirty;
   options.strategy = GetParam();
@@ -527,24 +524,47 @@ TEST_P(PipelinePersistTest, RestoreToleratesMissingClusterSection) {
   std::string error;
   ASSERT_TRUE(reader.Parse(in, &error)) << error;
 
-  // Re-frame at v1 without the cluster section.
   std::vector<std::pair<std::string, std::string>> sections;
   for (const std::string& name : reader.section_names()) {
     if (name == "pier.clusters") continue;
     sections.emplace_back(name, *reader.Section(name));
   }
-  std::istringstream v1_in(
-      FrameWithVersion(persist::kMinSupportedFormatVersion, sections));
-  persist::SnapshotReader v1_reader;
-  ASSERT_TRUE(v1_reader.Parse(v1_in, &error)) << error;
-  ASSERT_FALSE(v1_reader.Has("pier.clusters"));
+  std::istringstream without_in(
+      FrameWithVersion(persist::kFormatVersion, sections));
+  persist::SnapshotReader without;
+  ASSERT_TRUE(without.Parse(without_in, &error)) << error;
 
   PierPipeline restored(options);
-  ASSERT_TRUE(restored.Restore(v1_reader, &error)) << error;
-  // The cluster index starts empty and repopulates from new verdicts.
-  EXPECT_EQ(restored.clusters().universe_size(), 0u);
-  restored.RecordMatch(2, 3);
-  EXPECT_EQ(restored.clusters().ClusterIdOf(3), 2u);
+  EXPECT_FALSE(restored.Restore(without, &error));
+  EXPECT_NE(error.find("pier.clusters"), std::string::npos) << error;
+}
+
+TEST_P(PipelinePersistTest, MutabilityMismatchRejectedBothWays) {
+  // The fingerprint writes every field for every configuration, so a
+  // mutable snapshot never passes the meta check of an append-only
+  // pipeline (or the reverse) to fail later in a section decode.
+  for (const bool writer_mutable : {true, false}) {
+    SCOPED_TRACE(writer_mutable ? "mutable -> append-only"
+                                : "append-only -> mutable");
+    PierOptions options;
+    options.kind = DatasetKind::kDirty;
+    options.strategy = GetParam();
+    options.mutable_stream = writer_mutable;
+    PierPipeline pipeline(options);
+    pipeline.Ingest(SampleIncrement(0, 20));
+    (void)pipeline.EmitBatch(8);
+    persist::SnapshotBuilder builder;
+    pipeline.Snapshot(builder);
+    std::istringstream in(builder.Bytes());
+    persist::SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Parse(in, &error)) << error;
+
+    options.mutable_stream = !writer_mutable;
+    PierPipeline other(options);
+    EXPECT_FALSE(other.Restore(reader, &error));
+    EXPECT_NE(error.find("configuration"), std::string::npos) << error;
+  }
 }
 
 TEST_P(PipelinePersistTest, FingerprintMismatchRejected) {

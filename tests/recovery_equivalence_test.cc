@@ -14,6 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "baseline/i_base.h"
 #include "baseline/pbs.h"
 #include "datagen/generators.h"
+#include "persist/snapshot.h"
 #include "similarity/matcher.h"
 #include "stream/pier_adapter.h"
 #include "stream/stream_simulator.h"
@@ -345,6 +347,39 @@ TEST_F(RecoveryEquivalenceTest, MismatchedConfigurationRejected) {
         simulator.Resume(fresh, *matcher, snapshot, &error).has_value());
     EXPECT_NE(error.find("snapshot"), std::string::npos) << error;
   }
+}
+
+TEST_F(RecoveryEquivalenceTest, MissingClusterSectionRejected) {
+  // Every section the simulator writes is required: a checkpoint
+  // without 'sim.clusters' is refused, not resumed with an empty
+  // cluster partition.
+  const Dataset dataset = TinyDataset();
+  SimulatorOptions with_ckpt = BaseOptions(0.0);
+  with_ckpt.checkpoint_dir = dir_.string();
+  with_ckpt.checkpoint_every = 5;
+  const StreamSimulator simulator(&dataset, with_ckpt);
+  const auto matcher = MakeMatcher("JS", 0.5);
+  auto algo = MakePier(dataset, PierStrategy::kIPcs);
+  (void)simulator.Run(*algo, *matcher);
+  const auto files = CheckpointFiles(dir_);
+  ASSERT_FALSE(files.empty());
+
+  std::ifstream in(files.back(), std::ios::binary);
+  persist::SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Parse(in, &error)) << error;
+  ASSERT_TRUE(reader.Has("sim.clusters"));
+  persist::SnapshotBuilder without;
+  for (const std::string& name : reader.section_names()) {
+    if (name != "sim.clusters") {
+      without.AddSection(name) << *reader.Section(name);
+    }
+  }
+  std::istringstream snapshot(without.Bytes());
+  auto fresh = MakePier(dataset, PierStrategy::kIPcs);
+  EXPECT_FALSE(
+      simulator.Resume(*fresh, *matcher, snapshot, &error).has_value());
+  EXPECT_NE(error.find("sim.clusters"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -25,6 +25,8 @@
 
 #include "datagen/generators.h"
 #include "persist/checkpoint_manager.h"
+#include "persist/crc32c.h"
+#include "persist/snapshot.h"
 #include "similarity/parallel_executor.h"
 #include "stream/shard_queue.h"
 #include "stream/sharded_pipeline.h"
@@ -686,6 +688,113 @@ TEST(ShardedPipelineTest, DrainClosesOutVerdictlessIngestsSeparately) {
   EXPECT_EQ(
       registry.GetHistogram("realtime.ingest_to_quiescence_ns")->Count(), 5u);
   EXPECT_EQ(registry.GetGauge("realtime.pending_ingests")->Value(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Shard state digests
+
+// The mutable census stream behind the digests below: 600 records in
+// six increments, then corrections that add tokens no record had, then
+// deletes (one of a corrected record), then the rest.
+void RunShardStateStream(ShardedPipeline& pipeline, const Dataset& d) {
+  const auto increments = SplitIntoIncrements(d, 6);
+  auto increment_profiles = [&](size_t chunk) {
+    return std::vector<EntityProfile>(
+        d.profiles.begin() + static_cast<ptrdiff_t>(increments[chunk].begin),
+        d.profiles.begin() + static_cast<ptrdiff_t>(increments[chunk].end));
+  };
+  for (size_t chunk = 0; chunk < 3; ++chunk) {
+    ASSERT_TRUE(pipeline.Ingest(increment_profiles(chunk)));
+  }
+  std::vector<EntityProfile> corrections;
+  for (ProfileId id = 10; id < 30; ++id) {
+    std::vector<Attribute> attributes;
+    d.profiles[id].ForEachAttribute(
+        [&](std::string_view name, std::string_view value) {
+          attributes.push_back(
+              Attribute{std::string(name), std::string(value)});
+        });
+    attributes.push_back(Attribute{"note", "fresh" + std::to_string(id % 7) +
+                                               " unseen" + std::to_string(id)});
+    corrections.emplace_back(id, d.profiles[id].source, std::move(attributes));
+  }
+  ASSERT_TRUE(pipeline.Update(std::move(corrections)));
+  std::vector<ProfileId> deletes = {15};
+  for (ProfileId id = 40; id < 50; ++id) deletes.push_back(id);
+  ASSERT_TRUE(pipeline.Delete(deletes));
+  for (size_t chunk = 3; chunk < increments.size(); ++chunk) {
+    ASSERT_TRUE(pipeline.Ingest(increment_profiles(chunk)));
+  }
+  pipeline.Drain();
+}
+
+// Shard blocks and token-only profiles depend on ingest alone (not on
+// the wall-clock findK), so their section bytes are a deterministic
+// function of the stream. The CRC32C values were recorded while every
+// shard still re-interned token spellings into a dictionary of its
+// own; handing shards shard-local ids from the router's dictionary
+// must leave every shard's blocks and profiles byte-identical.
+TEST(ShardedPipelineTest, ShardBlocksAndProfilesArePinned) {
+  CensusOptions data_options;
+  data_options.num_records = 600;
+  const Dataset d = GenerateCensus(data_options);
+  const JaccardMatcher matcher(0.4);
+  struct Expected {
+    size_t shards;
+    std::vector<std::pair<uint32_t, uint32_t>> blocks_and_profiles;
+  };
+  const Expected kExpected[] = {
+      {1, {{0x81d33b97u, 0xbc2bb09au}}},
+      {3,
+       {{0xd1ef1318u, 0x06b6fb51u},
+        {0x7ab2c3ffu, 0x06a55576u},
+        {0xe4eee1b2u, 0xa7963f00u}}},
+  };
+  for (const Expected& expected : kExpected) {
+    SCOPED_TRACE("shards=" + std::to_string(expected.shards));
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             ("pier_shard_state_test_" +
+                              std::to_string(expected.shards)))
+                                .string();
+    std::filesystem::remove_all(dir);
+    {
+      ShardedOptions options;
+      options.pipeline.kind = d.kind;
+      options.pipeline.strategy = PierStrategy::kIPbs;
+      options.pipeline.mutable_stream = true;
+      options.shard_count = expected.shards;
+      ShardedPipeline pipeline(options, &matcher, [](ProfileId, ProfileId) {});
+      // A checkpoint after every call: the newest one is the quiesced
+      // state after the last call.
+      pipeline.EnableCheckpoints(dir, /*every=*/1, /*keep=*/1);
+      RunShardStateStream(pipeline, d);
+    }
+    const auto latest = persist::CheckpointManager::FindLatest(dir);
+    ASSERT_TRUE(latest.has_value());
+    std::ifstream in(*latest, std::ios::binary);
+    persist::SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Parse(in, &error)) << error;
+    for (size_t s = 0; s < expected.shards; ++s) {
+      const std::string prefix = "shard" + std::to_string(s);
+      const std::string* blocks = reader.Section(prefix + ".blocks");
+      const std::string* profiles = reader.Section(prefix + ".profiles");
+      ASSERT_NE(blocks, nullptr);
+      ASSERT_NE(profiles, nullptr);
+      EXPECT_EQ(persist::Crc32c(*blocks),
+                expected.blocks_and_profiles[s].first)
+          << prefix;
+      EXPECT_EQ(persist::Crc32c(*profiles),
+                expected.blocks_and_profiles[s].second)
+          << prefix;
+      // The router's dictionary is the only one: a shard's is empty
+      // (a zero spelling count).
+      const std::string* dictionary = reader.Section(prefix + ".dictionary");
+      ASSERT_NE(dictionary, nullptr);
+      EXPECT_EQ(*dictionary, std::string(sizeof(uint64_t), '\0')) << prefix;
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

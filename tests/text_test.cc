@@ -72,18 +72,6 @@ TEST(TokenizerTest, TokenizeProfileFillsFlatText) {
   EXPECT_EQ(p.flat_text(), "foo bar baz");
 }
 
-TEST(TokenizerTest, TokenizeProfileBumpsDocFrequencyOncePerProfile) {
-  Tokenizer tokenizer;
-  TokenDictionary dict;
-  EntityProfile p(0, 0, {{"a", "word word word"}});
-  tokenizer.TokenizeProfile(p, dict);
-  EXPECT_EQ(dict.DocFrequency(dict.Lookup("word")), 1u);
-
-  EntityProfile q(1, 0, {{"x", "word"}});
-  tokenizer.TokenizeProfile(q, dict);
-  EXPECT_EQ(dict.DocFrequency(dict.Lookup("word")), 2u);
-}
-
 TEST(TokenizerTest, SharedDictionaryAcrossProfiles) {
   Tokenizer tokenizer;
   TokenDictionary dict;

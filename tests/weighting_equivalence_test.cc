@@ -12,6 +12,7 @@
 #include "model/profile_store.h"
 #include "model/token_dictionary.h"
 #include "text/tokenizer.h"
+#include "weighting_reference.h"
 
 namespace pier {
 namespace {
