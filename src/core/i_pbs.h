@@ -5,7 +5,7 @@
 // comparisons (CI) and the unexecuted profiles (PI); on every update
 // the block yielding the fewest unexecuted comparisons is scheduled,
 // its comparisons entering the global CmpIndex with a composite
-// (block size, CBS weight) priority. A scalable Bloom filter CF
+// (block size, CBS weight) priority. A comparison filter CF
 // (PairFilter) suppresses redundant comparisons [16]; it admits each
 // pair into the CmpIndex at most once, so it is the only pair filter
 // on the I-PBS path (the pipeline runs no executed filter behind it).
@@ -62,12 +62,13 @@ class IPbs : public IncrementalPrioritizer {
   // selection; mirrors cardinality_index_ entries with count > 0.
   std::set<std::pair<uint64_t, TokenId>> min_index_;
 
-  // CF: redundancy filter over already-scheduled pairs, always
-  // Bloom-based; retractable under options_.mutable_stream (part of
-  // the pipeline fingerprint, so it also pins the snapshot format) so
-  // OnRetract can withdraw a retracted profile's keys and a corrected
-  // profile's comparisons reschedule. A pair enters the CmpIndex only
-  // when CF first sees it, so Dequeue never repeats a pair.
+  // CF: redundancy filter over already-scheduled pairs: a scalable
+  // Bloom filter on append-only streams; under options_.mutable_stream
+  // (part of the pipeline fingerprint, so it also pins the snapshot
+  // format) the exact, retractable pair registry, so OnRetract can
+  // withdraw a retracted profile's pairs and a corrected profile's
+  // comparisons reschedule. A pair enters the CmpIndex only when CF
+  // first sees it, so Dequeue never repeats a pair.
   PairFilter cf_;
 
   BoundedPriorityQueue<Comparison, CompareByBlockThenWeight> index_;

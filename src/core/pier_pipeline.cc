@@ -119,10 +119,17 @@ PierPipeline::PierPipeline(PierOptions options)
   }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& r = *options_.metrics;
-    metrics_.profiles_ingested = r.GetCounter("pipeline.profiles_ingested");
+    // Every shard of a sharded pipeline holds every profile id (with
+    // its token slice), so shard 0 alone counts calls and profiles;
+    // token and block counts are per-shard slices and add up.
+    if (options_.token_shard_index == 0) {
+      metrics_.profiles_ingested = r.GetCounter("pipeline.profiles_ingested");
+      metrics_.increments = r.GetCounter("pipeline.increments");
+      metrics_.profiles_deleted = r.GetCounter("pipeline.profiles_deleted");
+      metrics_.profiles_updated = r.GetCounter("pipeline.profiles_updated");
+    }
     metrics_.tokens_ingested = r.GetCounter("pipeline.tokens_ingested");
     metrics_.block_updates = r.GetCounter("pipeline.block_updates");
-    metrics_.increments = r.GetCounter("pipeline.increments");
     metrics_.ticks = r.GetCounter("pipeline.ticks");
     metrics_.batches = r.GetCounter("pipeline.batches");
     metrics_.comparisons_emitted =
@@ -131,8 +138,6 @@ PierPipeline::PierPipeline(PierOptions options)
         r.GetCounter("pipeline.comparisons_suppressed");
     metrics_.comparisons_retracted =
         r.GetCounter("pipeline.comparisons_retracted");
-    metrics_.profiles_deleted = r.GetCounter("pipeline.profiles_deleted");
-    metrics_.profiles_updated = r.GetCounter("pipeline.profiles_updated");
     metrics_.ingest_ns = r.GetHistogram("pipeline.ingest_ns");
     metrics_.emit_ns = r.GetHistogram("pipeline.emit_ns");
     metrics_.batch_size = r.GetHistogram("pipeline.batch_size");
@@ -227,7 +232,7 @@ WorkStats PierPipeline::Delete(const std::vector<ProfileId>& ids) {
   WorkStats stats;
   for (const ProfileId id : ids) {
     PIER_CHECK(id < profiles_.size());
-    if (!profiles_.IsLive(id)) continue;  // idempotent (shard fan-out)
+    if (!profiles_.IsLive(id)) continue;  // idempotent
     RetractProfile(id, &stats);
     profiles_.Remove(id);
     ++stats.profiles;

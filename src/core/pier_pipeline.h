@@ -86,8 +86,10 @@ struct PierOptions {
   AdaptiveKOptions adaptive_k;
   TokenizerOptions tokenizer;
   // Use an exact hash set instead of the scalable Bloom filter for the
-  // executed-comparison filter (ablation knob; exact never drops a
-  // pair but grows without bound). Strategies whose own filter keeps
+  // executed-comparison filter of an append-only stream (ablation
+  // knob; exact never drops a pair but grows without bound). Under
+  // mutable_stream every pair filter is already exact (see below), so
+  // the knob changes nothing there. Strategies whose own filter keeps
   // their pairs unique (I-PBS) run no executed filter, so the knob
   // does not apply to them.
   bool exact_executed_filter = false;
@@ -113,11 +115,14 @@ struct PierOptions {
   // serve.* instrumentation). Sharded deployments disable this on
   // shard sub-pipelines: the combiner owns the single serving index.
   bool track_clusters = true;
-  // Mutable streams: accept Delete / Update increments. Costs memory
-  // (each pair filter -- the executed-comparison filter, I-PBS's CF --
-  // becomes a counting filter unless exact, plus a pair registry per
-  // filter so retraction can withdraw keys) and changes the snapshot
-  // wire format, so it participates in the options fingerprint.
+  // Mutable streams: accept Delete / Update increments. Each pair
+  // filter -- the executed-comparison filter, I-PBS's CF, the sharded
+  // combiner's delivered filter -- becomes an exact pair registry
+  // (partner lists per profile id) so retraction can withdraw a
+  // profile's pairs; it never drops a pair as a false positive, and
+  // costs memory per live pair instead of a Bloom filter's bits. It
+  // changes the snapshot wire format, so it participates in the
+  // options fingerprint.
   // Mirrored into PrioritizerOptions by the constructor.
   bool mutable_stream = false;
 };

@@ -94,70 +94,55 @@ bool PairRegistry::Restore(std::istream& in) {
 }
 
 PairFilter::PairFilter(bool exact, bool retractable)
-    : keys_(exact         ? Keys(std::in_place_index<kExact>)
-            : retractable ? Keys(std::in_place_index<kCounting>)
-                          : Keys(std::in_place_index<kBloom>)),
-      retractable_(retractable) {}
+    : keys_(retractable ? Keys(std::in_place_index<kRegistry>)
+            : exact     ? Keys(std::in_place_index<kExact>)
+                        : Keys(std::in_place_index<kBloom>)) {}
 
 size_t PairFilter::Retract(ProfileId id) {
-  const std::vector<ProfileId> partners = pairs_.Take(id);
-  for (const ProfileId partner : partners) {
-    const uint64_t key = PairKey(id, partner);
-    if (auto* counting = std::get_if<kCounting>(&keys_)) {
-      counting->Remove(key);
-    } else if (auto* exact = std::get_if<kExact>(&keys_)) {
-      exact->erase(key);
-    }
-  }
-  return partners.size();
+  auto* registry = std::get_if<kRegistry>(&keys_);
+  return registry == nullptr ? 0 : registry->Take(id).size();
 }
 
 void PairFilter::Snapshot(std::ostream& out) const {
   if (const auto* bloom = std::get_if<kBloom>(&keys_)) {
     bloom->Snapshot(out);
-  } else if (const auto* counting = std::get_if<kCounting>(&keys_)) {
-    counting->Snapshot(out);
-  } else {
-    const ExactSet& exact = *std::get_if<kExact>(&keys_);
+  } else if (const auto* exact = std::get_if<kExact>(&keys_)) {
     // Sorted for canonical bytes (hash-set iteration order varies).
-    std::vector<uint64_t> keys(exact.begin(), exact.end());
+    std::vector<uint64_t> keys(exact->begin(), exact->end());
     std::sort(keys.begin(), keys.end());
     serial::WriteVec(out, keys, serial::WriteU64);
+  } else {
+    std::get_if<kRegistry>(&keys_)->Snapshot(out);
   }
-  if (retractable_) pairs_.Snapshot(out);
 }
 
 bool PairFilter::Restore(std::istream& in) {
-  PairFilter restored(keys_.index() == kExact, retractable_);
+  PairFilter restored(keys_.index() == kExact, keys_.index() == kRegistry);
   bool ok;
   if (auto* bloom = std::get_if<kBloom>(&restored.keys_)) {
     ok = bloom->Restore(in);
-  } else if (auto* counting = std::get_if<kCounting>(&restored.keys_)) {
-    ok = counting->Restore(in);
-  } else {
+  } else if (auto* exact = std::get_if<kExact>(&restored.keys_)) {
     std::vector<uint64_t> keys;
     ok = serial::ReadVec(in, &keys, serial::ReadU64);
-    std::get_if<kExact>(&restored.keys_)->insert(keys.begin(), keys.end());
+    exact->insert(keys.begin(), keys.end());
+  } else {
+    ok = std::get_if<kRegistry>(&restored.keys_)->Restore(in);
   }
-  if (!ok || (retractable_ && !restored.pairs_.Restore(in))) return false;
+  if (!ok) return false;
   *this = std::move(restored);
   return true;
 }
 
 size_t PairFilter::ApproxMemoryBytes() const {
-  size_t bytes = retractable_ ? pairs_.ApproxMemoryBytes() : 0;
   if (const auto* bloom = std::get_if<kBloom>(&keys_)) {
-    bytes += bloom->ApproxMemoryBytes();
-  } else if (const auto* counting = std::get_if<kCounting>(&keys_)) {
-    bytes += counting->ApproxMemoryBytes();
-  } else {
-    const ExactSet& exact = *std::get_if<kExact>(&keys_);
-    // Bucket array plus one node (next pointer and key) per key.
-    bytes +=
-        exact.bucket_count() * sizeof(void*) +
-        exact.size() * (sizeof(void*) + sizeof(uint64_t) + kHeapBlockHeader);
+    return bloom->ApproxMemoryBytes();
   }
-  return bytes;
+  if (const auto* exact = std::get_if<kExact>(&keys_)) {
+    // Bucket array plus one node (next pointer and key) per key.
+    const size_t node = sizeof(void*) + sizeof(uint64_t) + kHeapBlockHeader;
+    return exact->bucket_count() * sizeof(void*) + exact->size() * node;
+  }
+  return std::get_if<kRegistry>(&keys_)->ApproxMemoryBytes();
 }
 
 }  // namespace pier

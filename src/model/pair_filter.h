@@ -1,20 +1,17 @@
 // The set of comparison pairs a component has already seen: the
 // paper's I-PBS comparison filter CF (Algorithm 3) and PIER's
 // executed-comparison filter are both this one structure. It answers
-// test-and-add on pair keys PairKey(x, y) and, for mutable streams,
-// retracts every pair of a deleted profile so a corrected profile's
-// comparisons pass again.
+// test-and-add on pairs and, for mutable streams, retracts every pair
+// of a deleted profile so a corrected profile's comparisons pass again.
 //
 // The mode is fixed at construction from two flags:
 //
-//   exact  retractable  keys                          used by
-//   -----  -----------  ----------------------------  ------------------
-//   no     no           ScalableBloomFilter           default pipeline,
-//                                                     combiner, I-PBS CF
-//   no     yes          ScalableCountingBloomFilter   mutable_stream
-//                       + PairRegistry
-//   yes    no           exact hash set                exact_executed_filter
-//   yes    yes          exact hash set + PairRegistry both flags
+//   mode      exact  retractable  keys                 used by
+//   --------  -----  -----------  -------------------  ------------------
+//   Bloom     no     no           ScalableBloomFilter  default pipeline,
+//                                                      combiner, I-PBS CF
+//   exact     yes    no           exact hash set       exact_executed_filter
+//   registry  any    yes          PairRegistry         mutable_stream
 //
 // Each pair path runs exactly one of these. PierPipeline's executed
 // filter and the ShardedPipeline combiner's delivered filter (engaged
@@ -23,15 +20,23 @@
 // the only filter on the I-PBS path: the pipeline builds no executed
 // filter behind it (IncrementalPrioritizer::UniquePairFilter), and CF
 // always passes exact = false. `retractable` is
-// PierOptions::mutable_stream everywhere; its PairRegistry is a table
-// indexed by profile id. Only the active key structure is allocated.
-// The Bloom modes may report a never-seen pair as seen (a false
-// positive, bounded by the scalable filter's compound rate); the exact
-// modes never do but grow without bound.
+// PierOptions::mutable_stream everywhere. A retractable filter must
+// keep every pair's endpoints to withdraw them, and that record --
+// the PairRegistry -- answers membership exactly, so it is the whole
+// filter: no Bloom keys sit beside it. Only the active structure is
+// allocated.
+//
+// Recall contract: the Bloom mode may report a never-seen pair as seen
+// (a false positive, bounded by the scalable filter's compound rate),
+// which drops a pair that was never compared; the exact and registry
+// modes never do, so mutable paths lose no pair to the filter. The
+// exact set grows without bound; the registry grows with the live
+// pairs and shrinks on retraction.
 
 #ifndef PIER_MODEL_PAIR_FILTER_H_
 #define PIER_MODEL_PAIR_FILTER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -40,26 +45,21 @@
 #include <vector>
 
 #include "model/types.h"
-#include "util/counting_bloom_filter.h"
 #include "util/hashing.h"
 #include "util/scalable_bloom_filter.h"
 
 namespace pier {
 
-// Retraction index for the retractable modes: Bloom-style filters are
-// keyed by PairKey(x, y), so deleting profile x requires knowing every
-// partner y it was paired with to remove those keys again. This
-// registry records each pair under both endpoints and hands back (and
-// forgets) a profile's partner list on retraction.
+// The retractable filter: every recorded pair under both endpoints,
+// in a table of partner lists indexed by profile id (ids are dense;
+// ProfileStore indexes by them too): one list header per id up to the
+// largest recorded one, no hash nodes. Membership scans the shorter of
+// the two endpoints' lists; retraction hands back (and forgets) a
+// profile's partner list.
 //
-// Profile ids are dense (ProfileStore indexes by them too), so the
-// partner lists live in a table indexed by id: one list header per id
-// up to the largest recorded one, no hash nodes.
-//
-// Each pair must be recorded exactly once (PairFilter records only
-// when the underlying insert actually happened), so Take removes each
-// key exactly once -- double removal would corrupt a counting filter's
-// cells.
+// Each pair must be recorded at most once (PairFilter records only
+// pairs Contains reports absent), so Take removes each pair exactly
+// once and num_pairs stays exact.
 class PairRegistry {
  public:
   void Add(ProfileId x, ProfileId y) {
@@ -68,6 +68,18 @@ class PairRegistry {
     partners_[x].push_back(y);
     partners_[y].push_back(x);
     ++num_pairs_;
+  }
+
+  // True when the pair (x, y) is recorded, in either order. Costs a
+  // scan of the shorter partner list.
+  bool Contains(ProfileId x, ProfileId y) const {
+    if ((x < y ? y : x) >= partners_.size()) return false;
+    const std::vector<ProfileId>& xs = partners_[x];
+    const std::vector<ProfileId>& ys = partners_[y];
+    const bool scan_x = xs.size() <= ys.size();
+    const std::vector<ProfileId>& list = scan_x ? xs : ys;
+    const ProfileId partner = scan_x ? y : x;
+    return std::find(list.begin(), list.end(), partner) != list.end();
   }
 
   // Returns `id`'s partners and erases the pair records in both
@@ -97,59 +109,50 @@ class PairFilter {
  public:
   PairFilter(bool exact, bool retractable);
 
-  // Returns true if the pair was (possibly) seen before; otherwise
-  // records it and returns false. Every emitted comparison of every
-  // strategy passes through here, hence inline with a mode switch
-  // rather than a virtual call.
+  // Returns true if the pair was (possibly, in the Bloom mode) seen
+  // before; otherwise records it and returns false. Every emitted
+  // comparison of every strategy passes through here, hence inline
+  // with a mode switch rather than a virtual call.
   bool TestAndAdd(ProfileId x, ProfileId y) {
-    const uint64_t key = PairKey(x, y);
-    bool seen;
     switch (keys_.index()) {
       case kBloom:
-        return std::get_if<kBloom>(&keys_)->TestAndAdd(key);
-      case kCounting:
-        seen = std::get_if<kCounting>(&keys_)->TestAndAdd(key);
-        break;
-      default:
-        seen = !std::get_if<kExact>(&keys_)->insert(key).second;
-        break;
+        return std::get_if<kBloom>(&keys_)->TestAndAdd(PairKey(x, y));
+      case kExact:
+        return !std::get_if<kExact>(&keys_)->insert(PairKey(x, y)).second;
+      default: {
+        PairRegistry& registry = *std::get_if<kRegistry>(&keys_);
+        if (registry.Contains(x, y)) return true;
+        registry.Add(x, y);
+        return false;
+      }
     }
-    // Record the pair exactly once per actual insert so Retract
-    // withdraws each key once (counting cells tolerate exactly one
-    // matching Remove).
-    if (!seen && retractable_) pairs_.Add(x, y);
-    return seen;
   }
 
   // Withdraws every recorded pair with endpoint `id`, so those pairs
-  // test as unseen again; returns the number of keys withdrawn. A
+  // test as unseen again; returns the number of pairs withdrawn. A
   // no-op returning 0 unless the filter is retractable.
   size_t Retract(ProfileId id);
 
-  // Serializes the active key structure (the exact set as ascending
-  // keys, for canonical bytes), then the registry when retractable.
-  // The format is selected by the mode, which the owner's options
-  // fingerprint pins.
+  // Serializes the active structure: the Bloom filter, the exact set as
+  // ascending keys, or the registry (both canonical). The format is
+  // selected by the mode, which the owner's options fingerprint pins.
   void Snapshot(std::ostream& out) const;
 
   // Replaces the state from a Snapshot payload written in this mode.
   // Returns false on any decode failure, leaving the filter unchanged.
   bool Restore(std::istream& in);
 
-  // Heap bytes of the active key structure plus the registry.
+  // Heap bytes of the active structure.
   size_t ApproxMemoryBytes() const;
 
  private:
   using ExactSet = std::unordered_set<uint64_t>;
-  enum Mode : size_t { kBloom = 0, kCounting = 1, kExact = 2 };
+  enum Mode : size_t { kBloom = 0, kExact = 1, kRegistry = 2 };
 
   // Alternative index == Mode.
-  using Keys =
-      std::variant<ScalableBloomFilter, ScalableCountingBloomFilter, ExactSet>;
+  using Keys = std::variant<ScalableBloomFilter, ExactSet, PairRegistry>;
 
   Keys keys_;
-  bool retractable_;
-  PairRegistry pairs_;
 };
 
 }  // namespace pier

@@ -53,7 +53,7 @@ namespace persist {
 inline constexpr char kMagic[8] = {'P', 'I', 'E', 'R', 'S', 'N', 'A', 'P'};
 // The one version this build writes and reads (see the versioning
 // policy above).
-inline constexpr uint32_t kFormatVersion = 4;
+inline constexpr uint32_t kFormatVersion = 5;
 
 // Accumulates named sections in memory, then serializes the complete
 // framed snapshot in one pass. Section names must be unique and are

@@ -242,11 +242,6 @@ bool ShardedPipeline::BeginMutationLocked(const char* verb) {
 }
 
 void ShardedPipeline::RetractLocked(ProfileId id) {
-  // Every shard engine holds the profile (with its token slice);
-  // deletes fan out to all of them. Shard Delete is idempotent, so a
-  // shard whose slice of the profile was empty still tombstones its
-  // store slot and keeps ids aligned.
-  for (auto& shard : shards_) shard->pipeline->Delete({id});
   // The cross-shard delivered filter: withdraw every delivered pair
   // with this endpoint so a corrected profile's verdicts re-deliver.
   delivered_.Retract(id);
@@ -257,16 +252,21 @@ void ShardedPipeline::RetractLocked(ProfileId id) {
 bool ShardedPipeline::Delete(const std::vector<ProfileId>& ids) {
   std::lock_guard<std::mutex> lock(ingest_mutex_);
   if (!BeginMutationLocked("Delete")) return false;
-  uint64_t deleted = 0;
+  std::vector<ProfileId> deleted;
   for (const ProfileId id : ids) {
     PIER_CHECK(id < profiles_.size());
     if (!profiles_.IsLive(id)) continue;  // idempotent
     RetractLocked(id);
     profiles_.Remove(id);
-    ++deleted;
+    deleted.push_back(id);
   }
+  // Every shard engine holds the profile (with its token slice), so
+  // the deletes fan out to all of them, one call per shard; a shard
+  // whose slice of a profile was empty still tombstones its store slot
+  // and keeps ids aligned.
+  for (auto& shard : shards_) shard->pipeline->Delete(deleted);
   ++ingest_count_;
-  obs::CounterAdd(deletes_metric_, deleted);
+  obs::CounterAdd(deletes_metric_, deleted.size());
   if (checkpointer_ != nullptr && checkpointer_->Due(ingest_count_)) {
     CheckpointLocked();
   }
@@ -292,8 +292,9 @@ bool ShardedPipeline::Update(std::vector<EntityProfile> profiles) {
   }
   const uint64_t updated = profiles.size();
   // Applied synchronously on the quiesced engines (the workers are
-  // parked); the post-update kick below wakes them to emit the
-  // rescheduled comparisons.
+  // parked), one call per shard: each shard retracts its slice of a
+  // live profile before re-adding it. The post-update kick below wakes
+  // them to emit the rescheduled comparisons.
   for (size_t s = 0; s < shard_count; ++s) {
     if (!slices[s].empty()) {
       shards_[s]->pipeline->UpdateTokenized(std::move(slices[s]));

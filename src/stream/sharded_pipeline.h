@@ -287,9 +287,10 @@ class ShardedPipeline {
   // checks the mutability mode, and quiesces. Caller holds
   // ingest_mutex_. Returns false when the mutation must be rejected.
   bool BeginMutationLocked(const char* verb);
-  // Retracts one live profile from the global state (store tombstone
-  // excluded) and every shard engine. Caller holds ingest_mutex_ after
-  // QuiesceLocked().
+  // Retracts one live profile from the router's state: the delivered
+  // filter and the serving index (store tombstone excluded). Shard
+  // engines retract it in their own Delete / UpdateTokenized call.
+  // Caller holds ingest_mutex_ after QuiesceLocked().
   void RetractLocked(ProfileId id);
   // Waits until all routed work is fully processed. Caller holds
   // ingest_mutex_ (so no new work can arrive).

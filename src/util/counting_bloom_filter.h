@@ -4,12 +4,11 @@
 // removed again. ScalableCountingBloomFilter is that template over
 // this slice.
 //
-// The PIER pipeline uses it (through PairFilter, model/pair_filter.h)
-// as the executed-comparison filter when `mutable_stream` is on:
-// deleting a record must forget the comparisons it participated in,
-// otherwise a corrected record that is re-ingested would have its
-// comparisons suppressed forever and the delete-then-replay oracle
-// would diverge.
+// No pipeline pair path uses it: a retractable PairFilter
+// (model/pair_filter.h) answers membership from its exact pair
+// registry instead. It stays as the baseline that bench_mutable_stream
+// gates the retractable pair filter against and that pierbench's
+// util.filter replay measures.
 //
 // Counter layout: 2 bits per cell (32 cells per uint64_t word), cell
 // count and hash count derived from (expected_items, fp_rate) like a
@@ -21,7 +20,7 @@
 // cells reaching 3 is small at design load). Removing a key that was
 // never added can clear cells shared with live keys -- the standard
 // counting-filter caveat -- so callers must pair each Remove with a
-// prior Add (PairFilter guarantees this via its pair registry).
+// prior Add.
 
 #ifndef PIER_UTIL_COUNTING_BLOOM_FILTER_H_
 #define PIER_UTIL_COUNTING_BLOOM_FILTER_H_

@@ -6,9 +6,11 @@
 // One template serves both slice types: ScalableBloomFilter over the
 // append-only split-block BloomFilter, and ScalableCountingBloomFilter
 // (util/counting_bloom_filter.h) over the 2-bit CountingBloomFilter,
-// which adds Remove. The PIER framework uses them through PairFilter
-// (model/pair_filter.h) as the comparison filter CF of I-PBS
-// (Algorithm 3) and as the executed-comparison filter: on an unbounded
+// which adds Remove. The PIER framework uses the append-only one
+// through PairFilter (model/pair_filter.h) as the comparison filter CF
+// of I-PBS (Algorithm 3) and as the executed-comparison filter of
+// append-only streams (mutable streams use PairFilter's exact pair
+// registry, which retraction needs anyway): on an unbounded
 // stream the set of executed comparisons grows without limit, so an
 // exact hash set would exhaust memory while this filter keeps a small,
 // bounded-error footprint.

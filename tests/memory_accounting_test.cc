@@ -157,7 +157,7 @@ TEST(CountingAllocatorTest, ProfileStoreFootprintMatchesAllocatedBytes) {
 }
 
 TEST(CountingAllocatorTest, PairFilterFootprintMatchesAllocatedBytes) {
-  // Every mode: Bloom, counting + registry, exact, exact + registry.
+  // Every flag combination: Bloom, registry, exact, registry.
   // 40k random pairs over 2k profiles (~40 partners each) put the
   // registry's partner lists and the exact set's nodes at realistic
   // sizes.

@@ -4,9 +4,10 @@
 // corrects) some of them must converge to exactly the clusters of a
 // stream that never contained the deleted records (and always carried
 // the corrected content) -- at every shard count, and across a
-// mid-stream checkpoint/restore. Plus unit coverage for the two new
-// building blocks (counting Bloom filter, pair registry) and a
-// concurrent delete-vs-query stress (this binary runs under TSan).
+// mid-stream checkpoint/restore. Plus unit coverage for the pair
+// registry (the retractable pair filter), the counting Bloom filter
+// (kept as the benchmark baseline), and a concurrent delete-vs-query
+// stress (this binary runs under TSan).
 
 #include <atomic>
 #include <cstdint>
@@ -352,13 +353,12 @@ PierOptions MutableEquivalenceOptions(DatasetKind kind) {
   return options;
 }
 
-// The small end-to-end scenario every strategy must pass, on the
-// *counting-filter* path (exact_executed_filter = false): delete a
-// cluster member, survivors keep their direct edge; correct a record
-// away and its matches dissolve; correct it back and the executed
-// filter must have forgotten the old comparisons, or the re-ingested
-// content could never re-match (the bug the counting filter exists to
-// prevent).
+// The small end-to-end scenario every strategy must pass, in the
+// default mutable configuration (exact_executed_filter = false): delete
+// a cluster member, survivors keep their direct edge; correct a record
+// away and its matches dissolve; correct it back and the pair filter
+// must have forgotten the old comparisons, or the re-ingested content
+// could never re-match (the bug retraction exists to prevent).
 void RunDeleteCorrectReplayScenario(PierStrategy strategy) {
   SCOPED_TRACE(std::string("strategy=") + ToString(strategy));
   PierOptions options;
@@ -701,77 +701,119 @@ TEST(MutableShardedTest, DeleteThenReplayEquivalenceAcrossShardCounts) {
   }
 }
 
-// Checkpoint/resume with mutations, on the counting-filter path: the
-// snapshot must carry the counting filters and pair registries
-// bit-exactly, so a resumed run converges to the same clusters as the
-// uninterrupted one.
+// Checkpoint/resume with mutations, in the default mutable
+// configuration, at 1, 2 and 4 shards: the snapshot must carry the
+// pair registries bit-exactly, so a resumed run converges to the same
+// clusters as the uninterrupted one.
 TEST(MutableShardedTest, CheckpointResumeWithMutationsMatchesUninterrupted) {
   CensusOptions data_options;
   data_options.num_records = 150;
   const Dataset d = GenerateCensus(data_options);
   const JaccardMatcher matcher(0.4);
-  constexpr size_t kShards = 2;
 
   std::set<ProfileId> deleted;
   std::vector<EntityProfile> final_content;
   const std::vector<StreamOp> ops =
       BuildMutationScript(d, 8, &deleted, &final_content);
 
-  auto make_options = [&] {
-    ShardedOptions options = MutableShardedOptions(d.kind, kShards);
-    // Exercise the counting-filter snapshot sections (the default
-    // mutable-stream configuration), not the exact-set ablation.
-    options.pipeline.exact_executed_filter = false;
-    return options;
-  };
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto make_options = [&] {
+      ShardedOptions options = MutableShardedOptions(d.kind, shards);
+      // Exercise the default mutable-stream configuration, not the
+      // exact-set ablation.
+      options.pipeline.exact_executed_filter = false;
+      return options;
+    };
 
-  // Uninterrupted reference.
-  std::map<ProfileId, ProfileId> expected;
-  {
-    ShardedPipeline pipeline(make_options(), &matcher,
-                             [](ProfileId, ProfileId) {});
-    ApplyOps(pipeline, ops, 0);
-    pipeline.NotifyStreamEnd();
-    pipeline.Drain();
-    for (ProfileId id = 0; id < d.profiles.size(); ++id) {
-      expected[id] = pipeline.ClusterIdOf(id);
+    // Uninterrupted reference.
+    std::map<ProfileId, ProfileId> expected;
+    {
+      ShardedPipeline pipeline(make_options(), &matcher,
+                               [](ProfileId, ProfileId) {});
+      ApplyOps(pipeline, ops, 0);
+      pipeline.NotifyStreamEnd();
+      pipeline.Drain();
+      for (ProfileId id = 0; id < d.profiles.size(); ++id) {
+        expected[id] = pipeline.ClusterIdOf(id);
+      }
     }
-  }
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "pier_mutable_resume_test")
-          .string();
-  std::filesystem::remove_all(dir);
-  {
-    ShardedPipeline pipeline(make_options(), &matcher,
-                             [](ProfileId, ProfileId) {});
-    pipeline.EnableCheckpoints(dir, /*every=*/3, /*keep=*/2);
-    // Apply a prefix that includes deletes and corrections, then die.
-    ApplyOps(pipeline, ops, 0);
-  }
-  auto latest = persist::CheckpointManager::FindLatest(dir);
-  ASSERT_TRUE(latest.has_value());
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             ("pier_mutable_resume_test_" +
+                              std::to_string(shards)))
+                                .string();
+    std::filesystem::remove_all(dir);
+    {
+      ShardedPipeline pipeline(make_options(), &matcher,
+                               [](ProfileId, ProfileId) {});
+      pipeline.EnableCheckpoints(dir, /*every=*/3, /*keep=*/2);
+      // Apply a prefix that includes deletes and corrections, then die.
+      ApplyOps(pipeline, ops, 0);
+    }
+    auto latest = persist::CheckpointManager::FindLatest(dir);
+    ASSERT_TRUE(latest.has_value());
 
-  ShardedPipeline resumed(make_options(), &matcher,
-                          [](ProfileId, ProfileId) {});
-  std::ifstream in(*latest, std::ios::binary);
-  std::string error;
-  ASSERT_TRUE(resumed.RestoreFromSnapshot(in, &error)) << error;
-  // Every op (ingest, delete, update) bumps the ingest counter, so the
-  // counter doubles as the replay position in the op log.
-  const uint64_t applied = resumed.ingests();
-  ASSERT_GT(applied, 0u);
-  ASSERT_LE(applied, ops.size());
-  ApplyOps(resumed, ops, applied);
-  resumed.NotifyStreamEnd();
-  resumed.Drain();
+    ShardedPipeline resumed(make_options(), &matcher,
+                            [](ProfileId, ProfileId) {});
+    std::ifstream in(*latest, std::ios::binary);
+    std::string error;
+    ASSERT_TRUE(resumed.RestoreFromSnapshot(in, &error)) << error;
+    // Every op (ingest, delete, update) bumps the ingest counter, so
+    // the counter doubles as the replay position in the op log.
+    const uint64_t applied = resumed.ingests();
+    ASSERT_GT(applied, 0u);
+    ASSERT_LE(applied, ops.size());
+    ApplyOps(resumed, ops, applied);
+    resumed.NotifyStreamEnd();
+    resumed.Drain();
 
-  for (ProfileId id = 0; id < d.profiles.size(); ++id) {
-    EXPECT_EQ(resumed.ClusterIdOf(id), expected[id]) << "id=" << id;
-    EXPECT_EQ(resumed.clusters().IsDeleted(id), deleted.count(id) != 0)
-        << "id=" << id;
+    for (ProfileId id = 0; id < d.profiles.size(); ++id) {
+      EXPECT_EQ(resumed.ClusterIdOf(id), expected[id]) << "id=" << id;
+      EXPECT_EQ(resumed.clusters().IsDeleted(id), deleted.count(id) != 0)
+          << "id=" << id;
+    }
+    std::filesystem::remove_all(dir);
   }
-  std::filesystem::remove_all(dir);
+}
+
+// Every shard holds every profile id, yet a sharded mutation counts
+// each profile once: each user call reaches every shard in one call,
+// and shard 0 alone counts the per-profile pipeline.* counters. A
+// correction is an update, never a deletion.
+TEST(MutableShardedTest, MutationCountersCountEachProfileOnce) {
+#ifdef PIER_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#endif
+  obs::MetricsRegistry registry;
+  ShardedOptions options = MutableShardedOptions(DatasetKind::kDirty, 2);
+  options.pipeline.metrics = &registry;
+  const JaccardMatcher matcher(0.5);
+  ShardedPipeline pipeline(options, &matcher, [](ProfileId, ProfileId) {});
+  std::vector<EntityProfile> profiles;
+  for (ProfileId id = 0; id < 6; ++id) {
+    profiles.push_back(EntityProfile(
+        id, 0, {{"n", "alpha beta gamma " + std::to_string(id % 2)}}));
+  }
+  ASSERT_TRUE(pipeline.Ingest(profiles));
+  ASSERT_TRUE(pipeline.Delete({1, 2, 2}));  // a repeated id counts once
+  ASSERT_TRUE(pipeline.Delete({1}));        // already deleted
+  // Two corrections of live profiles and one of a deleted profile.
+  ASSERT_TRUE(pipeline.Update({EntityProfile(3, 0, {{"n", "delta"}}),
+                               EntityProfile(4, 0, {{"n", "delta"}})}));
+  ASSERT_TRUE(pipeline.Update({EntityProfile(1, 0, {{"n", "alpha"}})}));
+  pipeline.NotifyStreamEnd();
+  pipeline.Drain();
+  const auto counter = [&](const char* name) {
+    return registry.GetCounter(name)->Value();
+  };
+  EXPECT_EQ(counter("pipeline.profiles_ingested"), 6u);
+  EXPECT_EQ(counter("pipeline.profiles_deleted"), 2u);
+  EXPECT_EQ(counter("pipeline.profiles_updated"), 3u);
+  // One per user call: an ingest, two deletes, two updates.
+  EXPECT_EQ(counter("pipeline.increments"), 5u);
+  EXPECT_EQ(counter("realtime.deletes"), 2u);
+  EXPECT_EQ(counter("realtime.updates"), 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,22 @@
-// The emitted-pair contract, tested in the default configuration (Bloom
-// pair filters, block purging on): a pipeline never emits the same pair
-// twice unless one of its endpoints was retracted (deleted or
+// The emitted-pair contract, tested in the default configuration
+// (Bloom pair filters on append-only streams, the exact pair registry
+// on mutable ones, block purging on): a pipeline never emits the same
+// pair twice unless one of its endpoints was retracted (deleted or
 // corrected) in between. I-PBS keeps this contract with its comparison
 // filter CF alone -- the pipeline runs no executed filter for it -- so
 // the suite covers every strategy on append-only and mutable streams,
 // and I-PBS behind the one-shard RealtimePipeline.
 //
-// Also pins the I-PBS emitted stream under exact_executed_filter: the
-// digests below were recorded while the pipeline still ran an exact
-// executed filter behind CF, so they prove that filter never dropped an
-// I-PBS pair.
+// The recall half of the contract on mutable streams: every pair
+// filter there is exact, so the default configuration emits exactly
+// the stream exact_executed_filter does, for every strategy.
+//
+// Also pins the I-PBS emitted streams. The append-only digest was
+// recorded while the pipeline still ran an exact executed filter
+// behind CF, so it proves that filter never dropped an I-PBS pair. The
+// mutable digest is the stream of an exact CF (recorded with CF built
+// exact before every retractable filter became the exact pair
+// registry): no pair is lost to a filter false positive.
 
 #include <algorithm>
 #include <cstdint>
@@ -284,6 +291,22 @@ class StreamDigest {
   uint64_t pairs_ = 0;
 };
 
+TEST_P(PairUniquenessTest, MutableDefaultEmitsTheExactFilterStream) {
+  const auto digest_of = [](bool exact) {
+    PierOptions options;
+    options.strategy = GetParam();
+    options.mutable_stream = true;
+    options.exact_executed_filter = exact;
+    PierPipeline pipeline(options);
+    StreamDigest digest;
+    RunStream(pipeline, /*mutate=*/true, digest.observer());
+    return std::make_pair(digest.pairs(), digest.value());
+  };
+  const auto by_default = digest_of(/*exact=*/false);
+  EXPECT_GT(by_default.first, 1000u);
+  EXPECT_EQ(by_default, digest_of(/*exact=*/true));
+}
+
 TEST(IPbsEmittedStreamGoldenTest, ExactFilterAppendOnly) {
   PierOptions options;
   options.strategy = PierStrategy::kIPbs;
@@ -303,8 +326,8 @@ TEST(IPbsEmittedStreamGoldenTest, ExactFilterMutable) {
   PierPipeline pipeline(options);
   StreamDigest digest;
   RunStream(pipeline, /*mutate=*/true, digest.observer());
-  EXPECT_EQ(digest.pairs(), 193207u);
-  EXPECT_EQ(digest.value(), 0x54b1e6c65f33863bull);
+  EXPECT_EQ(digest.pairs(), 193821u);
+  EXPECT_EQ(digest.value(), 0x405d5a7d2208fb4bull);
 }
 
 }  // namespace

@@ -191,9 +191,10 @@ std::string FrameWithVersion(
   return std::move(out).str();
 }
 
-TEST(SnapshotTest, V3FileRejected) {
-  // The current version is the only format: a file framed at version
-  // 3 is refused before any section is exposed.
+// The current version is the only format: a file framed at an older
+// version is refused with a version diagnostic before any section is
+// exposed.
+void ExpectOlderVersionRejected(uint32_t version) {
   std::istringstream current(BuildSampleSnapshot());
   persist::SnapshotReader reader;
   std::string error;
@@ -202,12 +203,19 @@ TEST(SnapshotTest, V3FileRejected) {
   for (const std::string& name : reader.section_names()) {
     sections.emplace_back(name, *reader.Section(name));
   }
-  std::istringstream v3_in(FrameWithVersion(3, sections));
-  persist::SnapshotReader v3_reader;
-  EXPECT_FALSE(v3_reader.Parse(v3_in, &error));
-  EXPECT_NE(error.find("version 3"), std::string::npos) << error;
-  EXPECT_TRUE(v3_reader.section_names().empty());
+  std::istringstream old_in(FrameWithVersion(version, sections));
+  persist::SnapshotReader old_reader;
+  EXPECT_FALSE(old_reader.Parse(old_in, &error));
+  const std::string expected = "version " + std::to_string(version);
+  EXPECT_NE(error.find(expected), std::string::npos) << error;
+  EXPECT_TRUE(old_reader.section_names().empty());
 }
+
+TEST(SnapshotTest, V3FileRejected) { ExpectOlderVersionRejected(3); }
+
+// v4 wrote a retractable pair filter as a counting Bloom filter plus
+// its pair registry; v5 writes the registry alone.
+TEST(SnapshotTest, V4FileRejected) { ExpectOlderVersionRejected(4); }
 
 TEST(SnapshotTest, OutOfRangeVersionsRejected) {
   for (const uint32_t version : {uint32_t{0}, persist::kFormatVersion - 1,
