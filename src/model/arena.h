@@ -56,6 +56,15 @@ class SpanArena {
   // address. len == 0 is valid and returns a (stable, dereferenceable
   // for zero items) pointer into the current chunk.
   const T* Append(const T* data, size_t len) {
+    T* dest = Allocate(len);
+    if (len > 0) std::memcpy(dest, data, len * sizeof(T));
+    return dest;
+  }
+
+  // Reserves `len` contiguous, uninitialized items and returns their
+  // stable address, for a caller that writes a span in place (same
+  // placement and accounting as Append).
+  T* Allocate(size_t len) {
     if (chunks_.empty() || used_ + len > chunks_.back().capacity) {
       if (!chunks_.empty()) {
         // The straddle tail is dead weight, like a removed profile's
@@ -69,7 +78,6 @@ class SpanArena {
       used_ = 0;
     }
     T* dest = chunks_.back().data.get() + used_;
-    if (len > 0) std::memcpy(dest, data, len * sizeof(T));
     used_ += len;
     total_items_ += len;
     return dest;

@@ -74,9 +74,13 @@ bool PairRegistry::Restore(std::istream& in) {
         !serial::ReadVec(in, &list, serial::ReadU32)) {
       return false;
     }
-    // Snapshot writes ids strictly ascending, never an empty list.
+    // Snapshot writes ids strictly ascending, never an empty list, and
+    // each list strictly ascending without the id itself.
     if (list.empty() || (!entries.empty() && id <= entries.back().first)) {
       return false;
+    }
+    for (size_t k = 0; k < list.size(); ++k) {
+      if (list[k] == id || (k > 0 && list[k] <= list[k - 1])) return false;
     }
     total += list.size();
     table_size = std::max<size_t>(table_size, size_t{id} + 1);
@@ -85,10 +89,19 @@ bool PairRegistry::Restore(std::istream& in) {
     }
     entries.emplace_back(id, std::move(list));
   }
-  // Every pair is recorded under both endpoints.
+  // Every pair is recorded under both endpoints: each (id, p) needs
+  // its (p, id), found by binary search in p's sorted list.
   if (total % 2 != 0) return false;
-  partners_.assign(table_size, {});
-  for (auto& [id, list] : entries) partners_[id] = std::move(list);
+  std::vector<std::vector<ProfileId>> partners(table_size);
+  for (auto& [id, list] : entries) partners[id] = std::move(list);
+  for (ProfileId id = 0; id < partners.size(); ++id) {
+    for (const ProfileId p : partners[id]) {
+      if (!std::binary_search(partners[p].begin(), partners[p].end(), id)) {
+        return false;
+      }
+    }
+  }
+  partners_ = std::move(partners);
   num_pairs_ = total / 2;
   return true;
 }

@@ -9,17 +9,21 @@
 // dense and shard routing hashes spellings, so a retracted profile
 // leaves its tokens interned.
 //
-// Memory layout (paper scale): spellings live in one append-only
-// char arena (model/arena.h) instead of one std::string each, and the
-// id map is a flat open-addressing table of (hash, id) slots probing
-// linearly -- no per-token heap allocation, no duplicate copy of every
-// spelling as a map key, and no pointer-chasing bucket chains on the
-// tokenizer hot path (Intern is ~1 cache line per probe; a stored
-// 64-bit hash rejects collisions before touching the arena).
+// Memory layout (paper scale): each spelling is one length-prefixed
+// entry (LEB128 length, then the bytes) in an append-only char arena
+// (model/arena.h), and the id map is a flat open-addressing table of
+// 16-byte slots {32-bit hash tag, id + 1, entry pointer} probing
+// linearly. A slot reaches its spelling directly, so a known token
+// costs the slot's cache line plus the entry's, with no hop through
+// the id -> spelling index; the tag rejects most collisions before the
+// entry is touched. `spellings_` maps id -> entry with one 8-byte
+// pointer per token. No per-token heap allocation, and no duplicate
+// copy of a spelling as a map key.
 
 #ifndef PIER_MODEL_TOKEN_DICTIONARY_H_
 #define PIER_MODEL_TOKEN_DICTIONARY_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string_view>
 #include <vector>
@@ -40,6 +44,19 @@ class TokenDictionary {
   // Returns the id for `token`, interning it if new.
   TokenId Intern(std::string_view token);
 
+  // Intern for a caller that already has HashString(token), e.g. the
+  // tokenizer, which hashes while it scans.
+  TokenId Intern(std::string_view token, uint64_t hash);
+
+  // Hints the CPU to fetch the home slot of a token with this hash, so
+  // a batch of Interns can overlap its cache misses.
+  void Prefetch(uint64_t hash) const {
+    if (!table_.empty()) {
+      __builtin_prefetch(&table_[static_cast<uint32_t>(hash) &
+                                 (table_.size() - 1)]);
+    }
+  }
+
   // Returns the id for `token` or kInvalidTokenId if never interned.
   TokenId Lookup(std::string_view token) const;
 
@@ -56,16 +73,20 @@ class TokenDictionary {
   // empty. Returns false on decode failure.
   bool Restore(std::istream& in);
 
-  // Heap footprint estimate: spelling arena, views and ids map.
+  // Heap footprint estimate: spelling arena, entry index and id table.
   size_t ApproxMemoryBytes() const;
 
  private:
-  // One open-addressing slot: id_plus_one == 0 marks an empty slot
-  // (TokenId 0 is valid, so ids are stored shifted by one).
+  // One open-addressing slot. id_plus_one == 0 marks an empty slot
+  // (TokenId 0 is valid, so ids are stored shifted by one). The tag is
+  // the low 32 bits of the token's hash, so it also gives the home
+  // slot (tag & mask) when the table grows.
   struct Slot {
-    uint64_t hash = 0;
+    uint32_t tag = 0;
     uint32_t id_plus_one = 0;
+    const char* entry = nullptr;  // length-prefixed spelling
   };
+  static_assert(sizeof(Slot) == 16);
 
   // Returns the slot holding `token` (hash `h`) or the empty slot
   // where it belongs. The table is never full (grown at 70% load).
@@ -73,7 +94,7 @@ class TokenDictionary {
   void GrowTable();
 
   std::vector<Slot> table_;  // power-of-two size, linear probing
-  std::vector<std::string_view> spellings_;  // id -> arena view
+  std::vector<const char*> spellings_;  // id -> arena entry
   TextArena spelling_arena_;
 };
 

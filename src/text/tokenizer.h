@@ -7,9 +7,8 @@
 #ifndef PIER_TEXT_TOKENIZER_H_
 #define PIER_TEXT_TOKENIZER_H_
 
-#include <string>
-#include <string_view>
-#include <vector>
+#include <array>
+#include <cstddef>
 
 #include "model/entity_profile.h"
 #include "model/token_dictionary.h"
@@ -25,19 +24,29 @@ struct TokenizerOptions {
   size_t max_token_length = 64;
 };
 
+// The tokenizer's byte classes in the C locale: the lower-cased byte
+// for an ASCII letter or digit (what std::tolower gives where
+// std::isalnum holds), 0 for every other byte, which delimits tokens.
+inline constexpr std::array<char, 256> kTokenFold = [] {
+  std::array<char, 256> fold{};
+  for (int c = '0'; c <= '9'; ++c) fold[c] = static_cast<char>(c);
+  for (int c = 'a'; c <= 'z'; ++c) fold[c] = static_cast<char>(c);
+  for (int c = 'A'; c <= 'Z'; ++c) fold[c] = static_cast<char>(c - 'A' + 'a');
+  return fold;
+}();
+
 class Tokenizer {
  public:
   explicit Tokenizer(TokenizerOptions options = TokenizerOptions())
       : options_(options) {}
 
-  // Lower-cases and maps non-alphanumeric characters to spaces.
-  static std::string Normalize(std::string_view text);
-
-  // Splits normalized text into raw token strings (no interning).
-  std::vector<std::string> Split(std::string_view text) const;
-
   // Fills the profile's tokens (sorted, unique TokenIds over all
-  // attribute values) and flat text, interning new tokens into `dict`.
+  // attribute values) and flat text, interning new tokens into `dict`
+  // in first-occurrence order. A token is a maximal run of ASCII
+  // letters and digits, lower-cased; runs shorter than
+  // min_token_length are dropped and longer ones cut to
+  // max_token_length. The flat text is the kept tokens joined by
+  // single spaces.
   void TokenizeProfile(EntityProfile& profile, TokenDictionary& dict) const;
 
  private:

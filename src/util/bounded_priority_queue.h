@@ -137,9 +137,20 @@ class BoundedPriorityQueue {
 
   // Replaces the storage with `data`, which must be a verbatim copy of
   // a previous data() from a queue with the same capacity and order
-  // (snapshot restore). Returns false when `data` exceeds capacity.
+  // (snapshot restore). Returns false when `data` exceeds capacity or
+  // is not an interval heap under this order (one O(n) pass).
   bool RestoreData(std::vector<T> data) {
     if (data.size() > capacity_) return false;
+    for (size_t i = 1; i < data.size(); ++i) {
+      // A node's max slot is not below its min slot, and each slot
+      // lies within its parent node's [min, max] interval.
+      if (i % 2 == 1 && less_(data[i], data[i - 1])) return false;
+      if (i < 2) continue;
+      const size_t p = 2 * ParentNode(NodeOf(i));
+      if (less_(data[i], data[p]) || less_(data[p + 1], data[i])) {
+        return false;
+      }
+    }
     v_ = std::move(data);
     return true;
   }

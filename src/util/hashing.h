@@ -33,13 +33,17 @@ inline uint64_t PairKey(uint32_t a, uint32_t b) {
 
 // FNV-1a 64-bit string hash; deterministic across platforms and runs
 // (unlike std::hash<std::string_view>, which libstdc++ seeds per
-// process for some configurations).
+// process for some configurations). FnvStep lets a scanner hash bytes
+// as it reads them.
+inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+inline uint64_t FnvStep(uint64_t h, unsigned char byte) {
+  return (h ^ byte) * 0x100000001b3ULL;
+}
+
 inline uint64_t HashString(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
+  uint64_t h = kFnvOffsetBasis;
+  for (const char c : s) h = FnvStep(h, static_cast<unsigned char>(c));
   return h;
 }
 

@@ -14,6 +14,7 @@
 #include "model/token_dictionary.h"
 #include "similarity/string_distance.h"
 #include "text/tokenizer.h"
+#include "tokenizer_reference.h"
 #include "util/rng.h"
 
 namespace pier {
@@ -75,14 +76,13 @@ TEST(ErrorModelTest, PerturbedValueSharesMostTokens) {
   ErrorModelOptions options;  // defaults: moderate noise
   const ErrorModel model(options);
   Rng rng(7);
-  Tokenizer tokenizer;
   int shared = 0;
   int trials = 100;
   for (int i = 0; i < trials; ++i) {
     const std::string value = "alpha bravo charlie delta echo";
     const std::string noisy = model.PerturbValue(value, rng);
-    const auto a = tokenizer.Split(value);
-    const auto b = tokenizer.Split(noisy);
+    const auto a = SplitReference(value);
+    const auto b = SplitReference(noisy);
     std::set<std::string> sa(a.begin(), a.end());
     int common = 0;
     for (const auto& t : b) {

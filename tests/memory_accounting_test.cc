@@ -219,5 +219,27 @@ TEST(CountingAllocatorTest, PairRegistryFootprintMatchesAllocatedBytes) {
   EXPECT_EQ(LiveBytes(), before);
 }
 
+TEST(CountingAllocatorTest, TokenDictionaryFootprintMatchesAllocatedBytes) {
+  // 100k spellings of 5-9 bytes: the id table has grown several times,
+  // the entry arena spans a handful of chunks, and the entry index is
+  // a vector that doubled its way up.
+  std::vector<std::string> spellings;
+  for (int i = 0; i < 100000; ++i) {
+    spellings.push_back("tok" + std::to_string(i));
+  }
+  const size_t before = LiveBytes();
+  {
+    TokenDictionary dict;
+    for (const std::string& s : spellings) (void)dict.Intern(s);
+    const size_t claimed = dict.ApproxMemoryBytes();
+    const size_t actual = LiveBytes() - before;
+    EXPECT_GE(claimed, actual * 9 / 10)
+        << "claimed=" << claimed << " actual=" << actual;
+    EXPECT_LE(claimed, actual * 11 / 10)
+        << "claimed=" << claimed << " actual=" << actual;
+  }
+  EXPECT_EQ(LiveBytes(), before);
+}
+
 }  // namespace
 }  // namespace pier

@@ -294,8 +294,8 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
     std::istringstream in(out.str());
     EXPECT_FALSE(registry.Restore(in));
   }
-  // Even but one-sided content naming partners past the last entry id
-  // decodes (symmetry is not checked); Take must stay in bounds.
+  // Even but one-sided content, naming partners past the last entry
+  // id: (1, 9) and (2, 40) have no (9, 1) and (40, 2).
   {
     std::ostringstream out;
     serial::WriteU64(out, 2);
@@ -305,10 +305,26 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
     serial::WriteVec(out, std::vector<ProfileId>{40}, serial::WriteU32);
     PairRegistry registry;
     std::istringstream in(out.str());
-    ASSERT_TRUE(registry.Restore(in));
-    EXPECT_EQ(registry.Take(1), (std::vector<ProfileId>{9}));
-    EXPECT_EQ(registry.Take(2), (std::vector<ProfileId>{40}));
-    EXPECT_TRUE(registry.Take(40).empty());
+    EXPECT_FALSE(registry.Restore(in));
+    EXPECT_TRUE(registry.empty());
+  }
+  // Lists that are not strictly ascending or name the id itself. Each
+  // payload is symmetric with an even total, so only the list check
+  // can reject it.
+  using Entries = std::vector<std::pair<ProfileId, std::vector<ProfileId>>>;
+  for (const Entries& entries : {
+           Entries{{1, {3, 2}}, {2, {1, 3}}, {3, {1, 2}}},  // descending
+           Entries{{1, {1, 2}}, {2, {1, 2}}},               // self-partner
+           Entries{{1, {2, 2}}, {2, {1, 1}}}}) {            // duplicate
+    std::ostringstream out;
+    serial::WriteU64(out, entries.size());
+    for (const auto& [id, list] : entries) {
+      serial::WriteU32(out, id);
+      serial::WriteVec(out, list, serial::WriteU32);
+    }
+    PairRegistry registry;
+    std::istringstream in(out.str());
+    EXPECT_FALSE(registry.Restore(in));
   }
   // A non-empty registry refuses to restore over itself.
   {

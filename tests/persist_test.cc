@@ -445,6 +445,39 @@ TEST(ComponentPersistTest, BoundedPriorityQueueRestoreData) {
   EXPECT_FALSE(restored.RestoreData(std::vector<int>{1, 2, 3, 4, 5}));
 }
 
+TEST(ComponentPersistTest, BoundedPriorityQueueRestoreRejectsSwappedSlots) {
+  BoundedPriorityQueue<int, std::less<int>> queue(64, std::less<int>());
+  for (int i = 0; i < 41; ++i) queue.Push((i * 17) % 41);
+  const std::vector<int> valid = queue.data();
+  // The root's min and max slots swapped: the payload's CRC would still
+  // hold, but it is no interval heap.
+  {
+    std::vector<int> broken = valid;
+    std::swap(broken[0], broken[1]);
+    BoundedPriorityQueue<int, std::less<int>> restored(64, std::less<int>());
+    EXPECT_FALSE(restored.RestoreData(std::move(broken)));
+    EXPECT_TRUE(restored.empty());
+  }
+  // Every other swap of two slots: a payload that restores must still
+  // dequeue in order, and most swaps are rejected.
+  size_t rejected = 0;
+  for (size_t i = 0; i < valid.size(); ++i) {
+    for (size_t j = i + 1; j < valid.size(); ++j) {
+      std::vector<int> swapped = valid;
+      std::swap(swapped[i], swapped[j]);
+      BoundedPriorityQueue<int, std::less<int>> restored(64, std::less<int>());
+      if (!restored.RestoreData(std::move(swapped))) {
+        ++rejected;
+        continue;
+      }
+      for (int expected = 40; expected >= 0; --expected) {
+        ASSERT_EQ(restored.PopMax(), expected) << "swap " << i << "," << j;
+      }
+    }
+  }
+  EXPECT_GT(rejected, valid.size() * (valid.size() - 1) / 4);
+}
+
 TEST(ComponentPersistTest, ComparisonRoundTrip) {
   const Comparison c(3, 9, 0.625, 17);
   std::ostringstream out;
