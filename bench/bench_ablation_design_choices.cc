@@ -3,7 +3,6 @@
 //   (a) block-ghosting beta sweep,
 //   (b) CmpIndex / per-entity capacity sweep (bounded-memory effect),
 //   (c) adaptive K vs. fixed K,
-//   (d) scalable-Bloom vs. exact executed-comparison filter,
 //   (e) meta-blocking weighting scheme swap (CBS/ECBS/JS/ARCS),
 //   (f) extension: PSN progressive baselines vs blocking-based ones.
 
@@ -92,17 +91,6 @@ int main() {
     }
     PrintFigure("Ablation (c): adaptive vs fixed K (I-PES, ED)", runs,
                 sim.time_budget_s);
-  }
-
-  // (d) Bloom vs exact executed filter.
-  {
-    std::vector<RunResult> runs;
-    runs.push_back(RunConfig(d, "bloom-filter", base, js, sim));
-    PierOptions options = base;
-    options.exact_executed_filter = true;
-    runs.push_back(RunConfig(d, "exact-filter", options, js, sim));
-    PrintFigure("Ablation (d): executed-comparison filter (I-PES, JS)",
-                runs, sim.time_budget_s);
   }
 
   // (f) progressive-baseline zoo (extension): the two PSN variants

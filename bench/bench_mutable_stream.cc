@@ -1,10 +1,10 @@
-// Mutable-stream overhead gates: the price of deletability. When
-// `mutable_stream` is on, every pair filter becomes the retractable
-// PairFilter (model/pair_filter.h): an exact pair registry, partner
-// lists indexed by profile id, that answers membership by scanning the
-// shorter of two partner lists. Its gate:
-//   pair filter <= --gate-pair-filter (default 1.0x: the retractable
-//                  filter's TestAndAdd ns/op over the append-only
+// Mutable-stream overhead gates: the price of deletability. Every
+// pipeline pair filter is the retractable PairFilter
+// (model/pair_filter.h): an exact pair registry, partner lists indexed
+// by profile id, that answers membership by scanning the shorter of
+// two partner lists. Its gate:
+//   pair filter <= --gate-pair-filter (default 1.0x: the PairFilter's
+//                  TestAndAdd ns/op over the append-only
 //                  ScalableBloomFilter's, on the same pair stream)
 //
 // The deletable Bloom alternative, a 2-bit counting Bloom filter
@@ -24,7 +24,7 @@
 // And (no gate) the end-to-end mutable-pipeline mutation
 // throughput: deletes and corrections per second through PierPipeline
 // on a census workload, so regressions in the retraction path
-// (prioritizer purge, pair-registry take, cluster re-resolve) show up
+// (prioritizer purge, pair-filter retraction, cluster re-resolve) show up
 // in the same baseline file.
 //
 // Arguments:
@@ -101,7 +101,7 @@ FilterRep RunFilterRep(size_t num_keys) {
     pairs[i] = {x, y};
   }
   {
-    PairFilter filter(/*exact=*/false, /*retractable=*/true);
+    PairFilter filter;
     Stopwatch sw;
     for (const auto& [x, y] : pairs) (void)filter.TestAndAdd(x, y);
     rep.pair_filter_ns_per_op =
@@ -109,8 +109,8 @@ FilterRep RunFilterRep(size_t num_keys) {
     rep.pair_filter_bytes = filter.ApproxMemoryBytes();
   }
   {
-    // The append-only filter on the same pairs, as PairFilter's Bloom
-    // mode keys them.
+    // The append-only Bloom filter on the same pairs, keyed as the
+    // baselines key their executed pairs.
     ScalableBloomFilter filter;
     Stopwatch sw;
     for (const auto& [x, y] : pairs) (void)filter.TestAndAdd(PairKey(x, y));

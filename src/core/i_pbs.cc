@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "metablocking/weighting.h"
-#include "util/check.h"
 #include "util/serial.h"
 
 namespace pier {
@@ -14,7 +13,6 @@ namespace pier {
 IPbs::IPbs(PrioritizerContext ctx, PrioritizerOptions options)
     : ctx_(ctx),
       options_(options),
-      cf_(/*exact=*/false, options.mutable_stream),
       index_(options.cmp_index_capacity) {}
 
 WorkStats IPbs::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
@@ -128,7 +126,6 @@ bool IPbs::Dequeue(Comparison* out) {
 }
 
 void IPbs::OnRetract(ProfileId id) {
-  PIER_CHECK(options_.mutable_stream);
   // PI: drop the profile from the pending lists of its blocks (its
   // tokens are still readable -- OnRetract precedes the store
   // mutation). The CI counts are a scheduling heuristic and are left

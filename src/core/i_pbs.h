@@ -62,13 +62,11 @@ class IPbs : public IncrementalPrioritizer {
   // selection; mirrors cardinality_index_ entries with count > 0.
   std::set<std::pair<uint64_t, TokenId>> min_index_;
 
-  // CF: redundancy filter over already-scheduled pairs: a scalable
-  // Bloom filter on append-only streams; under options_.mutable_stream
-  // (part of the pipeline fingerprint, so it also pins the snapshot
-  // format) the exact, retractable pair registry, so OnRetract can
-  // withdraw a retracted profile's pairs and a corrected profile's
-  // comparisons reschedule. A pair enters the CmpIndex only when CF
-  // first sees it, so Dequeue never repeats a pair.
+  // CF: redundancy filter over already-scheduled pairs, exact and
+  // retractable, so OnRetract can withdraw a retracted profile's pairs
+  // and a corrected profile's comparisons reschedule. A pair enters the
+  // CmpIndex only when CF first sees it, so Dequeue never repeats a
+  // pair.
   PairFilter cf_;
 
   BoundedPriorityQueue<Comparison, CompareByBlockThenWeight> index_;

@@ -99,10 +99,6 @@ PierPipeline::PierPipeline(PierOptions options)
       blocks_(options.kind, options.blocking),
       tokenizer_(options.tokenizer),
       adaptive_k_(options.adaptive_k) {
-  // The mutability mode is a pipeline-level decision; strategies see it
-  // through their own options (it selects their pair-filter snapshot
-  // format and enables OnRetract bookkeeping).
-  options_.prioritizer.mutable_stream = options_.mutable_stream;
   // Frontier strategies register `frontier.*` metrics on the shared
   // registry (a non-owning pointer, never fingerprinted).
   options_.prioritizer.metrics = options_.metrics;
@@ -115,7 +111,7 @@ PierPipeline::PierPipeline(PierOptions options)
   // One pair filter per pair path: a strategy whose own filter already
   // keeps its emitted pairs unique (I-PBS's CF) gets no second one.
   if (prioritizer_->UniquePairFilter() == nullptr) {
-    executed_.emplace(options_.exact_executed_filter, options_.mutable_stream);
+    executed_.emplace();
   }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& r = *options_.metrics;
@@ -329,7 +325,6 @@ void WriteOptionsFingerprint(std::ostream& out, const PierOptions& o) {
   serial::WriteU64(out, o.prioritizer.entity_queue_capacity);
   serial::WriteU64(out, o.prioritizer.low_weight_queue_capacity);
   serial::WriteU8(out, static_cast<uint8_t>(o.prioritizer.scheme));
-  serial::WriteBool(out, o.exact_executed_filter);
   serial::WriteU64(out, o.tokenizer.min_token_length);
   serial::WriteU64(out, o.tokenizer.max_token_length);
   serial::WriteU64(out, o.adaptive_k.initial_k);
@@ -342,8 +337,8 @@ void WriteOptionsFingerprint(std::ostream& out, const PierOptions& o) {
   // owning a different token slice.
   serial::WriteU32(out, o.token_shard_count);
   serial::WriteU32(out, o.token_shard_index);
-  // Mutability selects the filter wire formats here and in the
-  // prioritizer sections.
+  // Mutability selects the cluster index's wire format (its match-edge
+  // tail).
   serial::WriteBool(out, o.mutable_stream);
   // Frontier knobs shape the emitted comparison stream of the frontier
   // strategies; every strategy writes them so the fingerprint has one

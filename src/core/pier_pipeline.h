@@ -85,14 +85,6 @@ struct PierOptions {
   PrioritizerOptions prioritizer;
   AdaptiveKOptions adaptive_k;
   TokenizerOptions tokenizer;
-  // Use an exact hash set instead of the scalable Bloom filter for the
-  // executed-comparison filter of an append-only stream (ablation
-  // knob; exact never drops a pair but grows without bound). Under
-  // mutable_stream every pair filter is already exact (see below), so
-  // the knob changes nothing there. Strategies whose own filter keeps
-  // their pairs unique (I-PBS) run no executed filter, so the knob
-  // does not apply to them.
-  bool exact_executed_filter = false;
   // Worker threads for match execution (RealtimePipeline and other
   // executor-based deployments). 1 = sequential. The verdict stream is
   // deterministic and identical for every value (see
@@ -117,13 +109,10 @@ struct PierOptions {
   bool track_clusters = true;
   // Mutable streams: accept Delete / Update increments. Each pair
   // filter -- the executed-comparison filter, I-PBS's CF, the sharded
-  // combiner's delivered filter -- becomes an exact pair registry
-  // (partner lists per profile id) so retraction can withdraw a
-  // profile's pairs; it never drops a pair as a false positive, and
-  // costs memory per live pair instead of a Bloom filter's bits. It
-  // changes the snapshot wire format, so it participates in the
+  // combiner's delivered filter -- withdraws a retracted profile's
+  // pairs, and the cluster index keeps its match edges. It changes the
+  // cluster index's snapshot wire format, so it participates in the
   // options fingerprint.
-  // Mirrored into PrioritizerOptions by the constructor.
   bool mutable_stream = false;
 };
 
@@ -310,11 +299,10 @@ class PierPipeline {
   AdaptiveK adaptive_k_;
 
   serve::ClusterIndex clusters_;
-  // Executed-comparison filter, in the mode picked by
-  // exact_executed_filter and mutable_stream (see model/pair_filter.h).
-  // Absent when the strategy's UniquePairFilter() already keeps its
-  // emitted pairs unique; fixed at construction, so EmitBatch tests a
-  // cached flag rather than asking the strategy per pair.
+  // Executed-comparison filter (model/pair_filter.h). Absent when the
+  // strategy's UniquePairFilter() already keeps its emitted pairs
+  // unique; fixed at construction, so EmitBatch tests a cached flag
+  // rather than asking the strategy per pair.
   std::optional<PairFilter> executed_;
   uint64_t comparisons_emitted_ = 0;
 };

@@ -83,13 +83,6 @@ struct PrioritizerOptions {
   // (mirrored from PierOptions::metrics by the pipeline constructor;
   // non-owning, never part of the fingerprint).
   obs::MetricsRegistry* metrics = nullptr;
-
-  // Mutable streams (deletes / corrections): strategies keep enough
-  // retraction state (deletable pair filters, pair registries) that
-  // OnRetract can withdraw a profile's pending comparisons. Changes
-  // the snapshot wire format of the strategies that carry a pair
-  // filter, so it participates in the pipeline options fingerprint.
-  bool mutable_stream = false;
 };
 
 // Read-only shared state every prioritizer consults. The pointed-to

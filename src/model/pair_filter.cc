@@ -10,14 +10,13 @@
 namespace pier {
 
 namespace {
-// Every hash node and partner list is its own heap block, and the
-// allocator keeps one header word in front of each; at the node sizes
-// here that word is a third of the block, so the estimates count it.
+// Every partner list is its own heap block, and the allocator keeps
+// one header word in front of each, so the estimate counts it.
 constexpr size_t kHeapBlockHeader = sizeof(void*);
 }  // namespace
 
-std::vector<ProfileId> PairRegistry::Take(ProfileId id) {
-  if (id >= partners_.size()) return {};
+size_t PairFilter::Retract(ProfileId id) {
+  if (id >= partners_.size()) return 0;
   // Swapping with an empty vector releases the list's storage too.
   std::vector<ProfileId> taken;
   taken.swap(partners_[id]);
@@ -31,10 +30,10 @@ std::vector<ProfileId> PairRegistry::Take(ProfileId id) {
     if (list.empty()) std::vector<ProfileId>().swap(list);
   }
   num_pairs_ -= taken.size();
-  return taken;
+  return taken.size();
 }
 
-size_t PairRegistry::ApproxMemoryBytes() const {
+size_t PairFilter::ApproxMemoryBytes() const {
   size_t total = partners_.capacity() * sizeof(std::vector<ProfileId>);
   for (const auto& list : partners_) {
     if (list.capacity() > 0) {
@@ -44,7 +43,7 @@ size_t PairRegistry::ApproxMemoryBytes() const {
   return total;
 }
 
-void PairRegistry::Snapshot(std::ostream& out) const {
+void PairFilter::Snapshot(std::ostream& out) const {
   uint64_t count = 0;
   for (const auto& list : partners_) count += list.empty() ? 0 : 1;
   serial::WriteU64(out, count);
@@ -57,8 +56,7 @@ void PairRegistry::Snapshot(std::ostream& out) const {
   }
 }
 
-bool PairRegistry::Restore(std::istream& in) {
-  if (num_pairs_ != 0) return false;
+bool PairFilter::Restore(std::istream& in) {
   uint64_t count = 0;
   if (!serial::ReadU64(in, &count)) return false;
   // Decoded in full before the table is sized, so a truncated payload
@@ -104,58 +102,6 @@ bool PairRegistry::Restore(std::istream& in) {
   partners_ = std::move(partners);
   num_pairs_ = total / 2;
   return true;
-}
-
-PairFilter::PairFilter(bool exact, bool retractable)
-    : keys_(retractable ? Keys(std::in_place_index<kRegistry>)
-            : exact     ? Keys(std::in_place_index<kExact>)
-                        : Keys(std::in_place_index<kBloom>)) {}
-
-size_t PairFilter::Retract(ProfileId id) {
-  auto* registry = std::get_if<kRegistry>(&keys_);
-  return registry == nullptr ? 0 : registry->Take(id).size();
-}
-
-void PairFilter::Snapshot(std::ostream& out) const {
-  if (const auto* bloom = std::get_if<kBloom>(&keys_)) {
-    bloom->Snapshot(out);
-  } else if (const auto* exact = std::get_if<kExact>(&keys_)) {
-    // Sorted for canonical bytes (hash-set iteration order varies).
-    std::vector<uint64_t> keys(exact->begin(), exact->end());
-    std::sort(keys.begin(), keys.end());
-    serial::WriteVec(out, keys, serial::WriteU64);
-  } else {
-    std::get_if<kRegistry>(&keys_)->Snapshot(out);
-  }
-}
-
-bool PairFilter::Restore(std::istream& in) {
-  PairFilter restored(keys_.index() == kExact, keys_.index() == kRegistry);
-  bool ok;
-  if (auto* bloom = std::get_if<kBloom>(&restored.keys_)) {
-    ok = bloom->Restore(in);
-  } else if (auto* exact = std::get_if<kExact>(&restored.keys_)) {
-    std::vector<uint64_t> keys;
-    ok = serial::ReadVec(in, &keys, serial::ReadU64);
-    exact->insert(keys.begin(), keys.end());
-  } else {
-    ok = std::get_if<kRegistry>(&restored.keys_)->Restore(in);
-  }
-  if (!ok) return false;
-  *this = std::move(restored);
-  return true;
-}
-
-size_t PairFilter::ApproxMemoryBytes() const {
-  if (const auto* bloom = std::get_if<kBloom>(&keys_)) {
-    return bloom->ApproxMemoryBytes();
-  }
-  if (const auto* exact = std::get_if<kExact>(&keys_)) {
-    // Bucket array plus one node (next pointer and key) per key.
-    const size_t node = sizeof(void*) + sizeof(uint64_t) + kHeapBlockHeader;
-    return exact->bucket_count() * sizeof(void*) + exact->size() * node;
-  }
-  return std::get_if<kRegistry>(&keys_)->ApproxMemoryBytes();
 }
 
 }  // namespace pier

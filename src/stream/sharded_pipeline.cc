@@ -45,8 +45,6 @@ ShardedPipeline::ShardedPipeline(ShardedOptions options, const Matcher* matcher,
       on_match_(std::move(on_match)),
       tokenizer_(options_.pipeline.tokenizer),
       shard_token_counts_(options_.shard_count, 0),
-      delivered_(options_.pipeline.exact_executed_filter,
-                 options_.pipeline.mutable_stream),
       verdict_queue_(options_.verdict_queue_capacity),
       metrics_(options_.pipeline.metrics),
       latency_tracker_(LatencyHistogram(options_.pipeline.metrics),
@@ -447,8 +445,7 @@ void ShardedPipeline::CombinerLoop() {
   // With one shard there is nothing to dedup: the shard's own
   // executed-comparison filter already guarantees exactly-once
   // delivery, and skipping the global filter keeps the N = 1 verdict
-  // stream bit-identical to the classic RealtimePipeline (no second
-  // Bloom filter that could drop a pair).
+  // stream bit-identical to the classic RealtimePipeline.
   const bool dedup = options_.shard_count > 1;
   std::vector<std::pair<ProfileId, ProfileId>> matched;
   VerdictBatch batch;
@@ -572,12 +569,7 @@ void ShardedPipeline::SnapshotLocked(persist::SnapshotBuilder& builder) const {
                    duplicates_suppressed_.load(std::memory_order_relaxed));
   dictionary_.Snapshot(builder.AddSection("sharded.dictionary"));
   profiles_.Snapshot(builder.AddSection("sharded.profiles"));
-  std::ostream& filter = builder.AddSection("sharded.filter");
-  // The leading bool records the exact/Bloom choice; the shard
-  // fingerprints gate mutability, so an append-only pipeline can never
-  // mis-decode a mutable snapshot past its own shard sections.
-  serial::WriteBool(filter, options_.pipeline.exact_executed_filter);
-  delivered_.Snapshot(filter);
+  delivered_.Snapshot(builder.AddSection("sharded.filter"));
   clusters_.Snapshot(builder.AddSection("sharded.clusters"));
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->pipeline->Snapshot(builder, "shard" + std::to_string(s));
@@ -672,13 +664,6 @@ bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,
   }
   if (!reader.Open("sharded.filter", &section, error)) {
     return fail("section 'sharded.filter' is missing");
-  }
-  bool exact = false;
-  if (!serial::ReadBool(section, &exact) ||
-      exact != options_.pipeline.exact_executed_filter) {
-    return fail(
-        "section 'sharded.filter' mode does not match "
-        "options.exact_executed_filter");
   }
   if (!delivered_.Restore(section)) {
     return fail("section 'sharded.filter' failed to decode");

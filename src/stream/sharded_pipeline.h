@@ -34,17 +34,16 @@
 // match thread count (the per-shard engine is the deterministic
 // PierPipeline + ParallelMatchExecutor). The combiner merges
 // substreams in arrival order, so the *interleaving* across shards
-// varies run to run. With the exact executed filter and no block
-// purging, the delivered verdict *set* and the final clusters are
-// identical for every shard count, including N = 1 (canonical cluster
-// ids make cluster answers merge-order independent);
-// tests/sharded_pipeline_test.cc checks this for I-PES against the
-// single-pipeline run. Under the default configuration they are not:
-// how many microbatches a shard ingests between two EmitBatch calls,
-// and the wall-clock findK(), depend on thread timing, and with Bloom
-// filters, bounded queues and purging that changes which pairs
-// survive, so N > 1 runs deliver slightly different verdict sets from
-// run to run. N = 1 is deterministic.
+// varies run to run. With no block purging, the delivered verdict
+// *set* and the final clusters are identical for every shard count,
+// including N = 1 (canonical cluster ids make cluster answers
+// merge-order independent); tests/sharded_pipeline_test.cc checks this
+// for I-PES against the single-pipeline run. Under the default
+// configuration they are not: how many microbatches a shard ingests
+// between two EmitBatch calls, and the wall-clock findK(), depend on
+// thread timing, and with bounded queues and purging that changes
+// which pairs survive, so N > 1 runs deliver slightly different
+// verdict sets from run to run. N = 1 is deterministic.
 //
 // Threading model:
 //  * Producers call Ingest (thread-safe, serialized on the router
@@ -326,8 +325,7 @@ class ShardedPipeline {
   std::unique_ptr<persist::CheckpointManager> checkpointer_;
 
   // Combiner-owned cross-shard executed-pair filter (combiner thread
-  // only while running; router reads/writes it only when quiesced),
-  // in the pipeline options' filter mode.
+  // only while running; router reads/writes it only when quiesced).
   PairFilter delivered_;
 
   // The serving index: written by the router (TrackUpTo) and the

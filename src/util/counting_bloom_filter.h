@@ -4,11 +4,10 @@
 // removed again. ScalableCountingBloomFilter is that template over
 // this slice.
 //
-// No pipeline pair path uses it: a retractable PairFilter
-// (model/pair_filter.h) answers membership from its exact pair
-// registry instead. It stays as the baseline that bench_mutable_stream
-// gates the retractable pair filter against and that pierbench's
-// util.filter replay measures.
+// No pipeline pair path uses it: PairFilter (model/pair_filter.h)
+// answers membership from its exact pair registry instead. It stays as
+// the baseline of bench_mutable_stream's counting-filter gates and for
+// pierbench's util.filter replay.
 //
 // Counter layout: 2 bits per cell (32 cells per uint64_t word), cell
 // count and hash count derived from (expected_items, fp_rate) like a

@@ -6,14 +6,13 @@
 // One template serves both slice types: ScalableBloomFilter over the
 // append-only split-block BloomFilter, and ScalableCountingBloomFilter
 // (util/counting_bloom_filter.h) over the 2-bit CountingBloomFilter,
-// which adds Remove. The PIER framework uses the append-only one
-// through PairFilter (model/pair_filter.h) as the comparison filter CF
-// of I-PBS (Algorithm 3) and as the executed-comparison filter of
-// append-only streams (mutable streams use PairFilter's exact pair
-// registry, which retraction needs anyway): on an unbounded
-// stream the set of executed comparisons grows without limit, so an
-// exact hash set would exhaust memory while this filter keeps a small,
-// bounded-error footprint.
+// which adds Remove. No PIER pipeline pair path uses either: every
+// pipeline pair filter is the exact PairFilter (model/pair_filter.h).
+// The append-only one remains the executed-pair filter of the
+// baselines (src/baseline/), a small, bounded-error footprint on an
+// unbounded stream, and both remain the filters that
+// bench_mutable_stream, bench_micro_components and pierbench's
+// util.filter replay measure.
 //
 // A Slice provides: Slice(expected_items, fp_rate), Add, MayContain,
 // AtCapacity, num_insertions, expected_items, MemoryBytes, Snapshot,

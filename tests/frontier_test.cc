@@ -105,7 +105,6 @@ PierOptions SperSkOptions(DatasetKind kind, uint64_t seed) {
   options.kind = kind;
   options.strategy = PierStrategy::kSperSk;
   options.prioritizer.frontier_seed = seed;
-  options.exact_executed_filter = true;
   return options;
 }
 

@@ -29,6 +29,7 @@
 #include "model/comparison.h"
 #include "model/pair_filter.h"
 #include "persist/checkpoint_manager.h"
+#include "persist/snapshot.h"
 #include "serve/cluster_index.h"
 #include "similarity/parallel_executor.h"
 #include "stream/sharded_pipeline.h"
@@ -208,38 +209,37 @@ TEST(ScalableCountingBloomFilterTest, RestoreSurvivesHostileSnapshots) {
 }
 
 // ---------------------------------------------------------------------------
-// PairRegistry
+// The pair registry (PairFilter)
 
 TEST(PairRegistryTest, TakeErasesBothDirectionsExactlyOnce) {
-  PairRegistry registry;
-  registry.Add(1, 2);
-  registry.Add(1, 3);
-  registry.Add(2, 3);
+  PairFilter registry;
+  (void)registry.TestAndAdd(1, 2);
+  (void)registry.TestAndAdd(1, 3);
+  (void)registry.TestAndAdd(2, 3);
   EXPECT_EQ(registry.num_pairs(), 3u);
 
-  std::vector<ProfileId> taken = registry.Take(1);
-  std::sort(taken.begin(), taken.end());
-  EXPECT_EQ(taken, (std::vector<ProfileId>{2, 3}));
+  EXPECT_EQ(registry.Retract(1), 2u);
   EXPECT_EQ(registry.num_pairs(), 1u);
   // The reverse directions are gone: 2 and 3 no longer report 1.
-  EXPECT_EQ(registry.Take(2), (std::vector<ProfileId>{3}));
+  EXPECT_EQ(registry.Retract(2), 1u);
   EXPECT_EQ(registry.num_pairs(), 0u);
-  EXPECT_TRUE(registry.Take(3).empty());
+  EXPECT_EQ(registry.Retract(3), 0u);
   EXPECT_TRUE(registry.empty());
-  EXPECT_TRUE(registry.Take(99).empty());
+  EXPECT_EQ(registry.Retract(99), 0u);
+  EXPECT_FALSE(registry.TestAndAdd(1, 2));
 }
 
 TEST(PairRegistryTest, SnapshotRoundTripsCanonically) {
-  PairRegistry registry;
-  registry.Add(5, 2);
-  registry.Add(2, 9);
-  registry.Add(5, 9);
-  registry.Add(0, 5);
+  PairFilter registry;
+  (void)registry.TestAndAdd(5, 2);
+  (void)registry.TestAndAdd(2, 9);
+  (void)registry.TestAndAdd(5, 9);
+  (void)registry.TestAndAdd(0, 5);
   std::ostringstream out;
   registry.Snapshot(out);
   const std::string bytes = out.str();
 
-  PairRegistry restored;
+  PairFilter restored;
   std::istringstream in(bytes);
   ASSERT_TRUE(restored.Restore(in));
   EXPECT_EQ(restored.num_pairs(), registry.num_pairs());
@@ -247,9 +247,11 @@ TEST(PairRegistryTest, SnapshotRoundTripsCanonically) {
   restored.Snapshot(again);
   EXPECT_EQ(again.str(), bytes);
 
-  std::vector<ProfileId> taken = restored.Take(5);
-  std::sort(taken.begin(), taken.end());
-  EXPECT_EQ(taken, (std::vector<ProfileId>{0, 2, 9}));
+  EXPECT_EQ(restored.Retract(5), 3u);
+  EXPECT_FALSE(restored.TestAndAdd(0, 5));
+  EXPECT_FALSE(restored.TestAndAdd(2, 5));
+  EXPECT_FALSE(restored.TestAndAdd(5, 9));
+  EXPECT_TRUE(restored.TestAndAdd(9, 2));
 }
 
 TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
@@ -260,7 +262,7 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
     serial::WriteU64(out, 1);
     serial::WriteU32(out, 1);
     serial::WriteVec(out, std::vector<ProfileId>{2}, serial::WriteU32);
-    PairRegistry registry;
+    PairFilter registry;
     std::istringstream in(out.str());
     EXPECT_FALSE(registry.Restore(in));
   }
@@ -270,7 +272,7 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
     serial::WriteU64(out, 1);
     serial::WriteU32(out, 1);
     serial::WriteVec(out, std::vector<ProfileId>{}, serial::WriteU32);
-    PairRegistry registry;
+    PairFilter registry;
     std::istringstream in(out.str());
     EXPECT_FALSE(registry.Restore(in));
   }
@@ -282,7 +284,7 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
     serial::WriteVec(out, std::vector<ProfileId>{2}, serial::WriteU32);
     serial::WriteU32(out, 1);
     serial::WriteVec(out, std::vector<ProfileId>{3}, serial::WriteU32);
-    PairRegistry registry;
+    PairFilter registry;
     std::istringstream in(out.str());
     EXPECT_FALSE(registry.Restore(in));
   }
@@ -290,7 +292,7 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
   {
     std::ostringstream out;
     serial::WriteU64(out, 3);
-    PairRegistry registry;
+    PairFilter registry;
     std::istringstream in(out.str());
     EXPECT_FALSE(registry.Restore(in));
   }
@@ -303,7 +305,7 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
     serial::WriteVec(out, std::vector<ProfileId>{9}, serial::WriteU32);
     serial::WriteU32(out, 2);
     serial::WriteVec(out, std::vector<ProfileId>{40}, serial::WriteU32);
-    PairRegistry registry;
+    PairFilter registry;
     std::istringstream in(out.str());
     EXPECT_FALSE(registry.Restore(in));
     EXPECT_TRUE(registry.empty());
@@ -322,20 +324,23 @@ TEST(PairRegistryTest, RestoreRejectsMalformedPayloads) {
       serial::WriteU32(out, id);
       serial::WriteVec(out, list, serial::WriteU32);
     }
-    PairRegistry registry;
+    PairFilter registry;
     std::istringstream in(out.str());
     EXPECT_FALSE(registry.Restore(in));
   }
-  // A non-empty registry refuses to restore over itself.
+  // A valid payload replaces a non-empty registry's pairs.
   {
-    PairRegistry donor;
-    donor.Add(1, 2);
+    PairFilter donor;
+    (void)donor.TestAndAdd(1, 2);
     std::ostringstream out;
     donor.Snapshot(out);
-    PairRegistry registry;
-    registry.Add(7, 8);
+    PairFilter registry;
+    (void)registry.TestAndAdd(7, 8);
     std::istringstream in(out.str());
-    EXPECT_FALSE(registry.Restore(in));
+    EXPECT_TRUE(registry.Restore(in));
+    EXPECT_EQ(registry.num_pairs(), 1u);
+    EXPECT_FALSE(registry.TestAndAdd(7, 8));
+    EXPECT_TRUE(registry.TestAndAdd(2, 1));
   }
 }
 
@@ -363,18 +368,17 @@ PierOptions MutableEquivalenceOptions(DatasetKind kind) {
   PierOptions options;
   options.kind = kind;
   options.strategy = PierStrategy::kIPes;
-  options.exact_executed_filter = true;
   options.blocking.max_block_size = 0;
   options.mutable_stream = true;
   return options;
 }
 
 // The small end-to-end scenario every strategy must pass, in the
-// default mutable configuration (exact_executed_filter = false): delete
-// a cluster member, survivors keep their direct edge; correct a record
-// away and its matches dissolve; correct it back and the pair filter
-// must have forgotten the old comparisons, or the re-ingested content
-// could never re-match (the bug retraction exists to prevent).
+// default mutable configuration: delete a cluster member, survivors
+// keep their direct edge; correct a record away and its matches
+// dissolve; correct it back and the pair filter must have forgotten
+// the old comparisons, or the re-ingested content could never re-match
+// (the bug retraction exists to prevent).
 void RunDeleteCorrectReplayScenario(PierStrategy strategy) {
   SCOPED_TRACE(std::string("strategy=") + ToString(strategy));
   PierOptions options;
@@ -735,11 +739,7 @@ TEST(MutableShardedTest, CheckpointResumeWithMutationsMatchesUninterrupted) {
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto make_options = [&] {
-      ShardedOptions options = MutableShardedOptions(d.kind, shards);
-      // Exercise the default mutable-stream configuration, not the
-      // exact-set ablation.
-      options.pipeline.exact_executed_filter = false;
-      return options;
+      return MutableShardedOptions(d.kind, shards);
     };
 
     // Uninterrupted reference.
@@ -791,6 +791,73 @@ TEST(MutableShardedTest, CheckpointResumeWithMutationsMatchesUninterrupted) {
     }
     std::filesystem::remove_all(dir);
   }
+}
+
+persist::SnapshotReader ReadCheckpoint(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  persist::SnapshotReader reader;
+  std::string error;
+  EXPECT_TRUE(reader.Parse(in, &error)) << error;
+  return reader;
+}
+
+// Snapshot -> restore -> snapshot is byte-identical for a sharded
+// pipeline: router sections (dictionary, profiles, the combiner's pair
+// filter, clusters) and every shard's sections. An empty Delete
+// checkpoints a quiescent pipeline without routing any work, so the
+// second snapshot of each side holds the same state. The one
+// exception is each shard's `findk`: a restore kicks every shard with
+// an empty microbatch stamped with the wall clock, so findK() moves.
+TEST(MutableShardedTest, SnapshotRestoreSnapshotIsByteIdentical) {
+  CensusOptions data_options;
+  data_options.num_records = 150;
+  const Dataset d = GenerateCensus(data_options);
+  const JaccardMatcher matcher(0.4);
+  const auto temp_dir = [](const char* name) {
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / name).string();
+    std::filesystem::remove_all(dir);
+    return dir;
+  };
+  const std::string original_dir = temp_dir("pier_sharded_roundtrip_a");
+  const std::string restored_dir = temp_dir("pier_sharded_roundtrip_b");
+
+  std::string checkpoint;
+  std::string original;
+  {
+    ShardedPipeline pipeline(MutableShardedOptions(d.kind, 2), &matcher,
+                             [](ProfileId, ProfileId) {});
+    pipeline.EnableCheckpoints(original_dir, /*every=*/1, /*keep=*/2);
+    for (const auto& inc : SplitIntoIncrements(d, 6)) {
+      ASSERT_TRUE(pipeline.Ingest(std::vector<EntityProfile>(
+          d.profiles.begin() + static_cast<ptrdiff_t>(inc.begin),
+          d.profiles.begin() + static_cast<ptrdiff_t>(inc.end))));
+    }
+    checkpoint = *persist::CheckpointManager::FindLatest(original_dir);
+    ASSERT_TRUE(pipeline.Delete({}));
+    original = *persist::CheckpointManager::FindLatest(original_dir);
+  }
+
+  ShardedPipeline restored(MutableShardedOptions(d.kind, 2), &matcher,
+                           [](ProfileId, ProfileId) {});
+  std::ifstream in(checkpoint, std::ios::binary);
+  std::string error;
+  ASSERT_TRUE(restored.RestoreFromSnapshot(in, &error)) << error;
+  restored.EnableCheckpoints(restored_dir, /*every=*/1, /*keep=*/1);
+  ASSERT_TRUE(restored.Delete({}));
+  const auto latest = persist::CheckpointManager::FindLatest(restored_dir);
+  ASSERT_TRUE(latest.has_value());
+
+  const persist::SnapshotReader expected = ReadCheckpoint(original);
+  const persist::SnapshotReader actual = ReadCheckpoint(*latest);
+  ASSERT_EQ(actual.section_names(), expected.section_names());
+  ASSERT_TRUE(expected.Has("sharded.filter"));
+  for (const std::string& name : expected.section_names()) {
+    if (name.ends_with(".findk")) continue;
+    EXPECT_TRUE(*actual.Section(name) == *expected.Section(name)) << name;
+  }
+  std::filesystem::remove_all(original_dir);
+  std::filesystem::remove_all(restored_dir);
 }
 
 // Every shard holds every profile id, yet a sharded mutation counts

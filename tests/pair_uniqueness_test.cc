@@ -1,22 +1,19 @@
-// The emitted-pair contract, tested in the default configuration
-// (Bloom pair filters on append-only streams, the exact pair registry
-// on mutable ones, block purging on): a pipeline never emits the same
-// pair twice unless one of its endpoints was retracted (deleted or
-// corrected) in between. I-PBS keeps this contract with its comparison
-// filter CF alone -- the pipeline runs no executed filter for it -- so
-// the suite covers every strategy on append-only and mutable streams,
-// and I-PBS behind the one-shard RealtimePipeline.
+// The emitted-pair contract, tested in the default configuration (the
+// exact pair registry as every pair filter, block purging on): a
+// pipeline never emits the same pair twice unless one of its endpoints
+// was retracted (deleted or corrected) in between. I-PBS keeps this
+// contract with its comparison filter CF alone -- the pipeline runs no
+// executed filter for it -- so the suite covers every strategy on
+// append-only and mutable streams, and I-PBS behind the one-shard
+// RealtimePipeline.
 //
-// The recall half of the contract on mutable streams: every pair
-// filter there is exact, so the default configuration emits exactly
-// the stream exact_executed_filter does, for every strategy.
-//
-// Also pins the I-PBS emitted streams. The append-only digest was
-// recorded while the pipeline still ran an exact executed filter
-// behind CF, so it proves that filter never dropped an I-PBS pair. The
-// mutable digest is the stream of an exact CF (recorded with CF built
-// exact before every retractable filter became the exact pair
-// registry): no pair is lost to a filter false positive.
+// The recall half of the contract: every pair filter is exact, so the
+// default configuration emits exactly the stream of an exact filter,
+// for every strategy, and `pipeline.comparisons_suppressed` counts
+// real duplicates only. The goldens below were recorded from the
+// implementation that still had a Bloom mode, run with its exact
+// filters (the exact executed filter, and for I-PBS an exact CF):
+// none of them can come from the filter they check.
 
 #include <algorithm>
 #include <cstdint>
@@ -33,6 +30,7 @@
 
 #include "core/pier_pipeline.h"
 #include "datagen/generators.h"
+#include "obs/metrics.h"
 #include "model/comparison.h"
 #include "similarity/matcher.h"
 #include "stream/realtime_pipeline.h"
@@ -291,37 +289,98 @@ class StreamDigest {
   uint64_t pairs_ = 0;
 };
 
-TEST_P(PairUniquenessTest, MutableDefaultEmitsTheExactFilterStream) {
-  const auto digest_of = [](bool exact) {
-    PierOptions options;
-    options.strategy = GetParam();
-    options.mutable_stream = true;
-    options.exact_executed_filter = exact;
-    PierPipeline pipeline(options);
-    StreamDigest digest;
-    RunStream(pipeline, /*mutate=*/true, digest.observer());
-    return std::make_pair(digest.pairs(), digest.value());
+// The default stream of every strategy, append-only and mutable:
+// emitted pairs and the stream digest, and the append-only stream's
+// suppressed duplicates.
+struct StreamGolden {
+  PierStrategy strategy;
+  uint64_t append_only_pairs;
+  uint64_t append_only_digest;
+  uint64_t append_only_duplicates;
+  uint64_t mutable_pairs;
+  uint64_t mutable_digest;
+};
+
+const StreamGolden& GoldenOf(PierStrategy strategy) {
+  static const StreamGolden kGoldens[] = {
+      {PierStrategy::kIPcs, 205989, 0x11806627d79a65d7ull, 27517, 204288,
+       0x531de0ab3d87160cull},
+      {PierStrategy::kIPbs, 205989, 0x37e8b3300064d52aull, 0, 193821,
+       0x405d5a7d2208fb4bull},
+      {PierStrategy::kIPes, 205989, 0x530d74baf1cc904dull, 27517, 204555,
+       0x42faba38560d4037ull},
+      {PierStrategy::kSperSk, 205989, 0x0baa3872c542fc52ull, 29348, 204286,
+       0x171074c4582eb555ull},
+      {PierStrategy::kFbPcs, 205989, 0x11806627d79a65d7ull, 27517, 204288,
+       0x531de0ab3d87160cull},
   };
-  const auto by_default = digest_of(/*exact=*/false);
-  EXPECT_GT(by_default.first, 1000u);
-  EXPECT_EQ(by_default, digest_of(/*exact=*/true));
+  for (const StreamGolden& golden : kGoldens) {
+    if (golden.strategy == strategy) return golden;
+  }
+  ADD_FAILURE() << "no golden for " << ToString(strategy);
+  return kGoldens[0];
 }
 
-TEST(IPbsEmittedStreamGoldenTest, ExactFilterAppendOnly) {
+std::pair<uint64_t, uint64_t> DefaultStreamDigest(PierStrategy strategy,
+                                                  bool mutate) {
   PierOptions options;
-  options.strategy = PierStrategy::kIPbs;
-  options.exact_executed_filter = true;
+  options.strategy = strategy;
+  options.mutable_stream = mutate;
+  PierPipeline pipeline(options);
+  StreamDigest digest;
+  RunStream(pipeline, mutate, digest.observer());
+  return {digest.pairs(), digest.value()};
+}
+
+TEST_P(PairUniquenessTest, AppendOnlyDefaultEmitsTheExactFilterStream) {
+  const StreamGolden& golden = GoldenOf(GetParam());
+  EXPECT_EQ(DefaultStreamDigest(GetParam(), /*mutate=*/false),
+            std::make_pair(golden.append_only_pairs,
+                           golden.append_only_digest));
+}
+
+TEST_P(PairUniquenessTest, MutableDefaultEmitsTheExactFilterStream) {
+  const StreamGolden& golden = GoldenOf(GetParam());
+  EXPECT_EQ(DefaultStreamDigest(GetParam(), /*mutate=*/true),
+            std::make_pair(golden.mutable_pairs, golden.mutable_digest));
+}
+
+// Every filter is exact, so `pipeline.comparisons_suppressed` counts
+// exactly the pairs a strategy emitted again on the append-only
+// stream: every stream above emits 205,989 distinct pairs, and the
+// duplicates are the re-emissions the executed filter dropped
+// on top of them (I-PBS emits none; it runs no executed filter).
+TEST_P(PairUniquenessTest, AppendOnlyDuplicatesPerStrategy) {
+#ifdef PIER_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#endif
+  obs::MetricsRegistry registry;
+  PierOptions options;
+  options.strategy = GetParam();
+  options.metrics = &registry;
   PierPipeline pipeline(options);
   StreamDigest digest;
   RunStream(pipeline, /*mutate=*/false, digest.observer());
-  EXPECT_EQ(digest.pairs(), 204525u);
-  EXPECT_EQ(digest.value(), 0xf495f74187c37199ull);
+  EXPECT_EQ(registry.GetCounter("pipeline.comparisons_suppressed")->Value(),
+            GoldenOf(GetParam()).append_only_duplicates);
+}
+
+// The I-PBS streams, CF alone. The append-only stream emits 205,989
+// pairs, as many as every other strategy; a Bloom CF dropped 1,464 of
+// them as false positives.
+TEST(IPbsEmittedStreamGoldenTest, ExactFilterAppendOnly) {
+  PierOptions options;
+  options.strategy = PierStrategy::kIPbs;
+  PierPipeline pipeline(options);
+  StreamDigest digest;
+  RunStream(pipeline, /*mutate=*/false, digest.observer());
+  EXPECT_EQ(digest.pairs(), 205989u);
+  EXPECT_EQ(digest.value(), 0x37e8b3300064d52aull);
 }
 
 TEST(IPbsEmittedStreamGoldenTest, ExactFilterMutable) {
   PierOptions options;
   options.strategy = PierStrategy::kIPbs;
-  options.exact_executed_filter = true;
   options.mutable_stream = true;
   PierPipeline pipeline(options);
   StreamDigest digest;

@@ -217,6 +217,10 @@ TEST(SnapshotTest, V3FileRejected) { ExpectOlderVersionRejected(3); }
 // its pair registry; v5 writes the registry alone.
 TEST(SnapshotTest, V4FileRejected) { ExpectOlderVersionRejected(4); }
 
+// v5 wrote an append-only pair filter as a scalable Bloom filter; v6
+// writes the pair registry on every stream.
+TEST(SnapshotTest, V5FileRejected) { ExpectOlderVersionRejected(5); }
+
 TEST(SnapshotTest, OutOfRangeVersionsRejected) {
   for (const uint32_t version : {uint32_t{0}, persist::kFormatVersion - 1,
                                  persist::kFormatVersion + 1}) {
@@ -733,9 +737,9 @@ TEST(ApproxMemoryBytesTest, GrowsWithState) {
   EXPECT_GT(filter.ApproxMemoryBytes(), filter_empty);
 }
 
-// Regression: with exact_executed_filter the filter gauge must report
-// the exact set that is actually in use (one heap node of at least a
-// key per executed pair), not the idle Bloom filter's fixed size.
+// Regression: the filter gauge must report the pair registry that is
+// actually in use (partner-list entries per executed pair), not a
+// fixed size.
 TEST(ApproxMemoryBytesTest, ExactFilterGaugeGrowsWithExecutedPairs) {
 #ifdef PIER_OBS_DISABLED
   GTEST_SKIP() << "metrics are compiled out";
@@ -743,7 +747,6 @@ TEST(ApproxMemoryBytesTest, ExactFilterGaugeGrowsWithExecutedPairs) {
   obs::MetricsRegistry registry;
   PierOptions options;
   options.kind = DatasetKind::kDirty;
-  options.exact_executed_filter = true;
   options.metrics = &registry;
   PierPipeline pipeline(options);
   const auto filter_gauge = [&] {
@@ -825,7 +828,7 @@ TEST(PipelinePersistFilterSectionTest, IPbsWritesNoneAndIgnoresOne) {
     for (const std::string& name : reader.section_names()) {
       sections.emplace_back(name, *reader.Section(name));
     }
-    PairFilter stale(/*exact=*/false, /*retractable=*/true);
+    PairFilter stale;
     (void)stale.TestAndAdd(0, 1);
     std::ostringstream stale_bytes;
     stale.Snapshot(stale_bytes);

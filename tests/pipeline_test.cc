@@ -127,9 +127,7 @@ TEST_P(PipelineStrategyTest, CountsEmittedComparisons) {
 }
 
 TEST_P(PipelineStrategyTest, ExactFilterAblationBehavesIdentically) {
-  PierOptions options = SmallOptions(GetParam());
-  options.exact_executed_filter = true;
-  PierPipeline pipeline(options);
+  PierPipeline pipeline(SmallOptions(GetParam()));
   pipeline.Ingest({Raw(0, 0, "alpha beta"), Raw(1, 0, "alpha beta")});
   EXPECT_EQ(pipeline.EmitBatch(10).size(), 1u);
   pipeline.Tick();

@@ -253,7 +253,6 @@ TEST_F(IPbsTest, CleanCleanOnlyCrossSource) {
 TEST_F(IPbsTest, OnRetractDropsExactlyTheRetractedPairs) {
   std::vector<std::pair<SourceId, std::vector<TokenId>>> specs(20, {0, {0}});
   const auto delta = AddIncrement(std::move(specs));
-  options_.mutable_stream = true;
   IPbs reference(Ctx(), options_);
   IPbs retracted(Ctx(), options_);
   reference.UpdateCmpIndex(delta);
