@@ -12,22 +12,8 @@ WorkStats BatchEr::OnIncrement(std::vector<EntityProfile> profiles) {
 }
 
 WorkStats BatchEr::OnStreamEnd() {
-  WorkStats stats;
   started_ = true;
-  if (cleaning_.has_value()) {
-    // Meta-blocking configuration: build the graph, prune, and emit
-    // the retained comparisons without any useful order -- the
-    // cleaning only reduces the comparison count; batch ER stays
-    // non-progressive.
-    BlockingGraph graph;
-    const WeightingContext ctx{&blocks_, &profiles_, WeightingScheme::kCbs};
-    uint64_t visits = 0;
-    stats.comparisons_generated +=
-        graph.Build(ctx, static_cast<ProfileId>(profiles_.size()), &visits);
-    stats.index_ops += visits;
-    cleaned_ = PruneComparisons(graph, *cleaning_, cleaning_options_);
-  }
-  return stats;
+  return {};
 }
 
 void BatchEr::FillBuffer(WorkStats* stats) {
@@ -60,15 +46,6 @@ void BatchEr::FillBuffer(WorkStats* stats) {
 std::vector<Comparison> BatchEr::NextBatch(WorkStats* stats) {
   std::vector<Comparison> out;
   if (!started_) return out;
-  if (cleaning_.has_value()) {
-    // cleaned_ is weight-descending; serving from the back emits the
-    // *worst* first, deliberately: batch ER has no useful order.
-    const size_t take = std::min(batch_size_, cleaned_.size());
-    out.assign(cleaned_.end() - static_cast<ptrdiff_t>(take),
-               cleaned_.end());
-    cleaned_.resize(cleaned_.size() - take);
-    return out;
-  }
   if (buffer_.empty()) FillBuffer(stats);
   const size_t n = std::min(batch_size_, buffer_.size());
   out.assign(buffer_.end() - static_cast<ptrdiff_t>(n), buffer_.end());

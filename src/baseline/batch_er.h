@@ -3,56 +3,36 @@
 // (token-id) order. No prioritization: matches surface whenever their
 // comparison happens to run, and the result is only complete at the
 // very end -- the F_batch reference of Definitions 1-3.
-//
-// Optionally the batch pipeline applies meta-blocking comparison
-// cleaning (WEP/CEP/WNP/CNP, see comparison_cleaning.h) instead of
-// exhaustive block enumeration -- the classic JedAI-style batch
-// configuration.
 
 #ifndef PIER_BASELINE_BATCH_ER_H_
 #define PIER_BASELINE_BATCH_ER_H_
 
-#include <optional>
 #include <vector>
 
 #include "baseline/streaming_er_base.h"
-#include "metablocking/comparison_cleaning.h"
 #include "util/scalable_bloom_filter.h"
 
 namespace pier {
 
 class BatchEr : public StreamingErBase {
  public:
-  BatchEr(DatasetKind kind, BlockingOptions blocking,
-          size_t batch_size = 256,
-          std::optional<PruningAlgorithm> cleaning = std::nullopt,
-          PruningOptions cleaning_options = {})
-      : StreamingErBase(kind, blocking),
-        batch_size_(batch_size),
-        cleaning_(cleaning),
-        cleaning_options_(cleaning_options) {}
+  BatchEr(DatasetKind kind, BlockingOptions blocking, size_t batch_size = 256)
+      : StreamingErBase(kind, blocking), batch_size_(batch_size) {}
 
   WorkStats OnIncrement(std::vector<EntityProfile> profiles) override;
   WorkStats OnStreamEnd() override;
   std::vector<Comparison> NextBatch(WorkStats* stats) override;
 
-  const char* name() const override {
-    return cleaning_.has_value() ? "BATCH-MB" : "BATCH";
-  }
+  const char* name() const override { return "BATCH"; }
 
  private:
   // Refills buffer_ with the next non-empty block's comparisons.
   void FillBuffer(WorkStats* stats);
 
   size_t batch_size_;
-  std::optional<PruningAlgorithm> cleaning_;
-  PruningOptions cleaning_options_;
   bool started_ = false;
   TokenId cursor_ = 0;
   std::vector<Comparison> buffer_;
-  // Meta-blocking mode: pruned comparisons, worst-first (served from
-  // the back).
-  std::vector<Comparison> cleaned_;
   ScalableBloomFilter executed_;
 };
 

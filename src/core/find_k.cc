@@ -9,14 +9,22 @@
 
 namespace pier {
 
+namespace {
+
+// Fraction of the inter-arrival budget one batch may consume; the
+// remainder absorbs blocking/prioritization work and rate jitter.
+constexpr double kTargetUtilization = 0.5;
+// Smoothing: K_new = (1 - kGain) * K_old + kGain * K_target.
+constexpr double kGain = 0.3;
+
+}  // namespace
+
 AdaptiveK::AdaptiveK(AdaptiveKOptions options)
     : options_(options),
-      interarrival_(options.window),
-      cost_per_comparison_(options.window),
+      interarrival_(kWindow),
+      cost_per_comparison_(kWindow),
       k_(static_cast<double>(options.initial_k)) {
   PIER_CHECK(options_.min_k > 0 && options_.min_k <= options_.max_k);
-  PIER_CHECK(options_.target_utilization > 0.0);
-  PIER_CHECK(options_.gain > 0.0 && options_.gain <= 1.0);
 }
 
 void AdaptiveK::OnArrival(double t) {
@@ -75,9 +83,9 @@ bool AdaptiveK::Restore(std::istream& in) {
 size_t AdaptiveK::FindK() {
   if (!interarrival_.empty() && !cost_per_comparison_.empty() &&
       cost_per_comparison_.Mean() > 0.0) {
-    const double target = interarrival_.Mean() * options_.target_utilization /
-                          cost_per_comparison_.Mean();
-    k_ = (1.0 - options_.gain) * k_ + options_.gain * target;
+    const double target =
+        interarrival_.Mean() * kTargetUtilization / cost_per_comparison_.Mean();
+    k_ = (1.0 - kGain) * k_ + kGain * target;
   }
   const double lo = static_cast<double>(options_.min_k);
   const double hi = static_cast<double>(options_.max_k);

@@ -3,7 +3,7 @@
 // early quality against stream consumption. The controller estimates
 // the stream's inter-arrival time and the matcher's per-comparison
 // cost from sliding-window averages of the latest measurements and
-// sizes K so one batch fits in a fraction (target_utilization) of an
+// sizes K so one batch fits in a fraction (kTargetUtilization) of an
 // inter-arrival period: a slow matcher therefore implies a small K, a
 // fast matcher a large K, exactly the behaviour Section 3.2 describes.
 
@@ -22,17 +22,13 @@ struct AdaptiveKOptions {
   size_t initial_k = 64;
   size_t min_k = 8;
   size_t max_k = 16384;
-  // Number of latest measurements averaged.
-  size_t window = 8;
-  // Fraction of the inter-arrival budget one batch may consume; the
-  // remainder absorbs blocking/prioritization work and rate jitter.
-  double target_utilization = 0.5;
-  // Smoothing: K_new = (1 - gain) * K_old + gain * K_target.
-  double gain = 0.3;
 };
 
 class AdaptiveK {
  public:
+  // Number of latest measurements each estimator averages.
+  static constexpr size_t kWindow = 8;
+
   explicit AdaptiveK(AdaptiveKOptions options = AdaptiveKOptions());
 
   // Records an increment arrival at virtual time `t` (seconds).
@@ -57,8 +53,8 @@ class AdaptiveK {
   // sequence the uninterrupted one would).
   void Snapshot(std::ostream& out) const;
 
-  // Restores a Snapshot payload; the recorded window size must match
-  // this controller's options. Returns false on decode failure.
+  // Restores a Snapshot payload; the recorded window size must be
+  // kWindow. Returns false on decode failure.
   bool Restore(std::istream& in);
 
  private:

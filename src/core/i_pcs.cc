@@ -50,18 +50,10 @@ WorkStats IPcs::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
 }
 
 void IPcs::OnRetract(ProfileId id) {
-  // Purge the CmpIndex of comparisons touching the retracted profile.
-  // The interval heap has no positional erase, so rebuild it from the
-  // surviving elements (Push re-establishes the heap invariant; the
-  // dequeue order depends only on the comparator, which is total).
-  std::vector<Comparison> kept;
-  kept.reserve(index_.size());
-  for (const Comparison& c : index_.data()) {
-    if (c.x != id && c.y != id) kept.push_back(c);
-  }
-  if (kept.size() == index_.size()) return;
-  index_.Clear();
-  for (Comparison& c : kept) index_.Push(std::move(c));
+  // Purge the CmpIndex of comparisons touching the retracted profile in
+  // place (one O(n) pass and heap rebuild; the dequeue order of the
+  // rest cannot change, CompareByWeight being a strict total order).
+  index_.EraseIf([id](const Comparison& c) { return c.x == id || c.y == id; });
 }
 
 bool IPcs::Dequeue(Comparison* out) {

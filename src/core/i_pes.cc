@@ -195,31 +195,17 @@ void IPes::OnRetract(ProfileId id) {
   }
 
   // Other entities may hold comparisons whose far endpoint is `id`:
-  // rebuild any touched per-entity queue without them (the interval
-  // heap has no positional erase). Entities drained by the purge are
-  // dropped exactly like Dequeue drops them; stale EntityQueue refs to
-  // either are skipped at dequeue time.
-  const auto purge = [id](BoundedPriorityQueue<Comparison, CompareByWeight>&
-                              pq) {
-    bool touched = false;
-    for (const Comparison& c : pq.data()) {
-      if (c.x == id || c.y == id) {
-        touched = true;
-        break;
-      }
-    }
-    if (!touched) return;
-    std::vector<Comparison> kept;
-    kept.reserve(pq.size());
-    for (const Comparison& c : pq.data()) {
-      if (c.x != id && c.y != id) kept.push_back(c);
-    }
-    pq.Clear();
-    for (Comparison& c : kept) pq.Push(std::move(c));
+  // compact any touched per-entity queue in place (the dequeue order of
+  // the rest cannot change, CompareByWeight being a strict total
+  // order). Entities drained by the purge are dropped exactly like
+  // Dequeue drops them; stale EntityQueue refs to either are skipped at
+  // dequeue time.
+  const auto touches = [id](const Comparison& c) {
+    return c.x == id || c.y == id;
   };
   for (size_t i = 0; i < tracked_.size();) {
     const bool was_nonempty = !tracked_[i].pq.empty();
-    purge(tracked_[i].pq);
+    tracked_[i].pq.EraseIf(touches);
     if (tracked_[i].pq.empty()) {
       if (was_nonempty) --nonempty_entities_;
       EraseEntity(tracked_ids_[i]);  // swap-fills slot i; revisit it
@@ -230,7 +216,7 @@ void IPes::OnRetract(ProfileId id) {
 
   // The low-weight overflow queue. Total/Count stay as-is: they are
   // running means over everything ever inserted, not live state.
-  purge(low_queue_);
+  low_queue_.EraseIf(touches);
 }
 
 void IPes::Snapshot(std::ostream& out) const {

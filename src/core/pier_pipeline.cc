@@ -99,14 +99,12 @@ PierPipeline::PierPipeline(PierOptions options)
       blocks_(options.kind, options.blocking),
       tokenizer_(options.tokenizer),
       adaptive_k_(options.adaptive_k) {
-  // Frontier strategies register `frontier.*` metrics on the shared
-  // registry (a non-owning pointer, never fingerprinted).
-  options_.prioritizer.metrics = options_.metrics;
   if (options_.mutable_stream && options_.track_clusters) {
     clusters_.EnableRetraction();
   }
   prioritizer_ = Entry(options_.strategy)
-                     .make(PrioritizerContext{&blocks_, &profiles_},
+                     .make(PrioritizerContext{&blocks_, &profiles_,
+                                              options_.metrics},
                            options_.prioritizer);
   // One pair filter per pair path: a strategy whose own filter already
   // keeps its emitted pairs unique (I-PBS's CF) gets no second one.
@@ -330,9 +328,6 @@ void WriteOptionsFingerprint(std::ostream& out, const PierOptions& o) {
   serial::WriteU64(out, o.adaptive_k.initial_k);
   serial::WriteU64(out, o.adaptive_k.min_k);
   serial::WriteU64(out, o.adaptive_k.max_k);
-  serial::WriteU64(out, o.adaptive_k.window);
-  serial::WriteF64(out, o.adaptive_k.target_utilization);
-  serial::WriteF64(out, o.adaptive_k.gain);
   // Shard identity: a shard section can never restore into a pipeline
   // owning a different token slice.
   serial::WriteU32(out, o.token_shard_count);
@@ -340,12 +335,9 @@ void WriteOptionsFingerprint(std::ostream& out, const PierOptions& o) {
   // Mutability selects the cluster index's wire format (its match-edge
   // tail).
   serial::WriteBool(out, o.mutable_stream);
-  // Frontier knobs shape the emitted comparison stream of the frontier
-  // strategies; every strategy writes them so the fingerprint has one
-  // length.
+  // The seed shapes SPER-SK's emitted comparison stream; every
+  // strategy writes it so the fingerprint has one length.
   serial::WriteU64(out, o.prioritizer.frontier_seed);
-  serial::WriteU64(out, o.prioritizer.frontier_sample_budget);
-  serial::WriteU64(out, o.prioritizer.frontier_probes);
 }
 
 void SetRestoreError(std::string* error, const std::string& message) {

@@ -69,27 +69,22 @@ struct PrioritizerOptions {
 
   WeightingScheme scheme = WeightingScheme::kCbs;
 
-  // Frontier strategies (src/frontier/). SPER-SK: RNG seed (the
-  // determinism contract: same seed + same increment sequence =>
-  // byte-identical dequeue stream at every execution thread count),
-  // per-profile sampling budget, and tournament probe count. The seed
-  // and budget shape the emitted comparison stream, so they join the
-  // pipeline options fingerprint for the frontier strategies.
+  // SPER-SK's RNG seed (src/frontier/sper_sk.h). The determinism
+  // contract: same seed + same increment sequence => byte-identical
+  // dequeue stream at every execution thread count. The seed shapes the
+  // emitted comparison stream, so it joins the pipeline options
+  // fingerprint.
   uint64_t frontier_seed = 42;
-  size_t frontier_sample_budget = 32;
-  size_t frontier_probes = 8;
-
-  // Optional observability sink for `frontier.*` strategy metrics
-  // (mirrored from PierOptions::metrics by the pipeline constructor;
-  // non-owning, never part of the fingerprint).
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Read-only shared state every prioritizer consults. The pointed-to
-// objects are owned by the pipeline and outlive the prioritizer.
+// Shared state every prioritizer consults. The pointed-to objects are
+// owned by the pipeline and outlive the prioritizer.
 struct PrioritizerContext {
   const BlockCollection* blocks = nullptr;
   const ProfileStore* profiles = nullptr;
+  // Optional sink for the frontier strategies' `frontier.*` metrics
+  // (the pipeline's PierOptions::metrics); non-owning.
+  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class IncrementalPrioritizer {

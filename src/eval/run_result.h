@@ -32,7 +32,7 @@ struct RunResult {
   uint64_t matches_found = 0;
 
   // Ticks spent with a due increment refused and no pending batch
-  // (see SimulatorOptions::stall_limit); 0 for well-behaved
+  // (see StreamSimulator::kStallLimit); 0 for well-behaved
   // algorithms. `stall_aborted` is set when the run ended because the
   // consecutive-stall limit was hit rather than by draining the work.
   uint64_t stalled_ticks = 0;

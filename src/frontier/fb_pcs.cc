@@ -33,8 +33,8 @@ FbPcs::FbPcs(PrioritizerContext ctx, PrioritizerOptions options)
       options_(options),
       index_(options.cmp_index_capacity),
       scanner_(ctx) {
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& r = *options_.metrics;
+  if (ctx_.metrics != nullptr) {
+    obs::MetricsRegistry& r = *ctx_.metrics;
     verdicts_metric_ = r.GetCounter("frontier.feedback_verdicts");
     promotions_metric_ = r.GetCounter("frontier.blocks_promoted");
     hot_pairs_metric_ = r.GetCounter("frontier.hot_pairs");
@@ -207,17 +207,11 @@ bool FbPcs::Dequeue(Comparison* out) {
 
 void FbPcs::OnRetract(ProfileId id) {
   // Purge pending comparisons with the retracted endpoint (same
-  // rebuild as I-PCS). Token verdict statistics are deliberately kept:
-  // they describe the block's history, which remains predictive for
-  // the survivors; the emit-time liveness check handles the rest.
-  std::vector<Comparison> kept;
-  kept.reserve(index_.size());
-  for (const Comparison& c : index_.data()) {
-    if (c.x != id && c.y != id) kept.push_back(c);
-  }
-  if (kept.size() == index_.size()) return;
-  index_.Clear();
-  for (Comparison& c : kept) index_.Push(std::move(c));
+  // in-place compaction as I-PCS). Token verdict statistics are
+  // deliberately kept: they describe the block's history, which remains
+  // predictive for the survivors; the emit-time liveness check handles
+  // the rest.
+  index_.EraseIf([id](const Comparison& c) { return c.x == id || c.y == id; });
 }
 
 void FbPcs::Snapshot(std::ostream& out) const {

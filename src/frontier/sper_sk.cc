@@ -11,6 +11,16 @@
 
 namespace pier {
 
+namespace {
+
+// Candidate edges drawn per new profile; a neighbourhood with at most
+// this many partner visits is enumerated exactly instead.
+constexpr size_t kSampleBudget = 32;
+// Random slots probed per tournament insertion and dequeue.
+constexpr size_t kProbes = 8;
+
+}  // namespace
+
 SperSk::SperSk(PrioritizerContext ctx, PrioritizerOptions options)
     : ctx_(ctx),
       options_(options),
@@ -18,8 +28,8 @@ SperSk::SperSk(PrioritizerContext ctx, PrioritizerOptions options)
       scanner_(ctx) {
   frontier_.reserve(
       std::min<size_t>(options_.cmp_index_capacity, size_t{1} << 12));
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& r = *options_.metrics;
+  if (ctx_.metrics != nullptr) {
+    obs::MetricsRegistry& r = *ctx_.metrics;
     samples_accepted_metric_ = r.GetCounter("frontier.samples_accepted");
     samples_rejected_metric_ = r.GetCounter("frontier.samples_rejected");
     exact_profiles_metric_ = r.GetCounter("frontier.exact_profiles");
@@ -38,7 +48,7 @@ void SperSk::TournamentInsert(const Comparison& c, WorkStats* stats) {
   // total, so the decision is deterministic given the probes).
   const CompareByWeight less;
   size_t weakest = rng_.UniformInt(0, frontier_.size() - 1);
-  for (size_t p = 1; p < options_.frontier_probes; ++p) {
+  for (size_t p = 1; p < kProbes; ++p) {
     const size_t i = rng_.UniformInt(0, frontier_.size() - 1);
     if (less(frontier_[i], frontier_[weakest])) weakest = i;
   }
@@ -80,7 +90,7 @@ void SperSk::SampleProfile(ProfileId id, WorkStats* stats) {
 
   scratch_.BeginPass(profiles.size());
 
-  if (total_members <= options_.frontier_sample_budget) {
+  if (total_members <= kSampleBudget) {
     // Small neighbourhood: enumerate exactly (no draws, no RNG use)
     // with the same accumulate-then-drain sweep the exact strategies
     // run -- O(1) per block co-occurrence, and the accumulated count
@@ -118,7 +128,7 @@ void SperSk::SampleProfile(ProfileId id, WorkStats* stats) {
 
   uint64_t accepted = 0;
   uint64_t rejected = 0;
-  for (size_t draw = 0; draw < options_.frontier_sample_budget; ++draw) {
+  for (size_t draw = 0; draw < kSampleBudget; ++draw) {
     const double u = rng_.UniformDouble() * total;
     const size_t bi = static_cast<size_t>(
         std::lower_bound(block_cdf_.begin(), block_cdf_.end(), u) -
@@ -174,14 +184,14 @@ bool SperSk::Dequeue(Comparison* out) {
   // Small frontiers are scanned exactly (drains best-first); large
   // ones take the best of a probe tournament, which keeps dequeue O(1)
   // while staying heavily biased toward the top of the distribution.
-  const size_t kExactScanLimit = 4 * options_.frontier_probes;
+  constexpr size_t kExactScanLimit = 4 * kProbes;
   if (frontier_.size() <= kExactScanLimit) {
     for (size_t i = 1; i < frontier_.size(); ++i) {
       if (less(frontier_[best], frontier_[i])) best = i;
     }
   } else {
     best = rng_.UniformInt(0, frontier_.size() - 1);
-    for (size_t p = 1; p < options_.frontier_probes; ++p) {
+    for (size_t p = 1; p < kProbes; ++p) {
       const size_t i = rng_.UniformInt(0, frontier_.size() - 1);
       if (less(frontier_[best], frontier_[i])) best = i;
     }

@@ -42,15 +42,15 @@ class SperSk : public IncrementalPrioritizer {
   bool Restore(std::istream& in) override;
 
  private:
-  // Draws up to frontier_sample_budget candidate edges for profile
+  // Draws up to kSampleBudget (sper_sk.cc) candidate edges for profile
   // `id` from its retained blocks; small neighbourhoods (total member
   // visits <= budget) are enumerated exactly instead, so sparse data
   // loses nothing to sampling.
   void SampleProfile(ProfileId id, WorkStats* stats);
 
   // Reservoir insertion: appends while below capacity, otherwise
-  // replaces the weakest of frontier_probes random slots if the
-  // candidate beats it.
+  // replaces the weakest of kProbes random slots if the candidate
+  // beats it.
   void TournamentInsert(const Comparison& c, WorkStats* stats);
 
   PrioritizerContext ctx_;

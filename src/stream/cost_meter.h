@@ -13,62 +13,49 @@
 
 namespace pier {
 
-// Unit costs (seconds per unit of work) for the modeled mode. The
-// defaults approximate the measured per-op costs of this
-// implementation on a ~2.5 GHz core, so modeled and measured runs have
-// the same orders of magnitude.
-struct CostModel {
-  double per_profile = 2e-6;
-  double per_token = 2e-7;
-  double per_block_update = 1.5e-7;
-  double per_comparison_generated = 4e-7;
-  double per_index_op = 3e-7;
-  // Per matcher cost-unit (Matcher::CostUnits): token for JS,
-  // DP cell for ED.
-  double per_match_unit = 4e-9;
-  // Fixed overhead charged to every operation, so virtual time always
-  // advances.
-  double per_call_overhead = 2e-6;
-};
-
 class CostMeter {
  public:
   enum class Mode : uint8_t { kMeasured = 0, kModeled = 1 };
 
-  explicit CostMeter(Mode mode, CostModel model = CostModel())
-      : mode_(mode), model_(model) {}
-
-  Mode mode() const { return mode_; }
-  const CostModel& model() const { return model_; }
+  explicit CostMeter(Mode mode) : mode_(mode) {}
 
   // Cost of a pipeline step that performed `stats` work and took
   // `measured_seconds` of wall time.
   double StepCost(const WorkStats& stats, double measured_seconds) const {
-    if (mode_ == Mode::kMeasured) {
-      return measured_seconds + model_.per_call_overhead;
-    }
-    return model_.per_call_overhead +
-           model_.per_profile * static_cast<double>(stats.profiles) +
-           model_.per_token * static_cast<double>(stats.tokens) +
-           model_.per_block_update *
-               static_cast<double>(stats.block_updates) +
-           model_.per_comparison_generated *
+    if (mode_ == Mode::kMeasured) return measured_seconds + kPerCallOverhead;
+    return kPerCallOverhead +
+           kPerProfile * static_cast<double>(stats.profiles) +
+           kPerToken * static_cast<double>(stats.tokens) +
+           kPerBlockUpdate * static_cast<double>(stats.block_updates) +
+           kPerComparisonGenerated *
                static_cast<double>(stats.comparisons_generated) +
-           model_.per_index_op * static_cast<double>(stats.index_ops);
+           kPerIndexOp * static_cast<double>(stats.index_ops);
   }
 
   // Cost of matching a batch whose matcher cost-units sum to `units`.
   double MatchCost(uint64_t units, double measured_seconds) const {
-    if (mode_ == Mode::kMeasured) {
-      return measured_seconds + model_.per_call_overhead;
-    }
-    return model_.per_call_overhead +
-           model_.per_match_unit * static_cast<double>(units);
+    if (mode_ == Mode::kMeasured) return measured_seconds + kPerCallOverhead;
+    return kPerCallOverhead + kPerMatchUnit * static_cast<double>(units);
   }
 
  private:
+  // Unit costs (seconds per unit of work) for the modeled mode. They
+  // approximate the measured per-op costs of this implementation on a
+  // ~2.5 GHz core, so modeled and measured runs have the same orders
+  // of magnitude.
+  static constexpr double kPerProfile = 2e-6;
+  static constexpr double kPerToken = 2e-7;
+  static constexpr double kPerBlockUpdate = 1.5e-7;
+  static constexpr double kPerComparisonGenerated = 4e-7;
+  static constexpr double kPerIndexOp = 3e-7;
+  // Per matcher cost-unit (Matcher::CostUnits): token for JS, DP cell
+  // for ED.
+  static constexpr double kPerMatchUnit = 4e-9;
+  // Fixed overhead charged to every operation, so virtual time always
+  // advances.
+  static constexpr double kPerCallOverhead = 2e-6;
+
   Mode mode_;
-  CostModel model_;
 };
 
 }  // namespace pier

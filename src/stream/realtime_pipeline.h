@@ -1,142 +1,42 @@
-// Real-time (wall-clock, multi-threaded) deployment wrapper around
-// PierPipeline: a producer thread (your code) feeds increments via
-// Ingest(); a background worker continuously emits the best
-// comparisons, hands them to the parallel match executor, and invokes
-// a callback for every detected duplicate. This mirrors the paper's
-// asynchronous Akka-Streams deployment, while the discrete-event
-// StreamSimulator remains the tool for reproducible evaluation.
+// Real-time (wall-clock, multi-threaded) deployment of PierPipeline: a
+// producer thread (your code) feeds increments via Ingest(); a
+// background worker continuously emits the best comparisons, hands them
+// to the parallel match executor, and invokes a callback for every
+// detected duplicate. This mirrors the paper's asynchronous
+// Akka-Streams deployment, while the discrete-event StreamSimulator
+// remains the tool for reproducible evaluation.
 //
-// Since the sharded ingest path landed, RealtimePipeline is the
-// one-shard instantiation of ShardedPipeline (see
-// stream/sharded_pipeline.h for the full threading model): one shard
-// worker runs the emit -> match loop over a bounded microbatch queue,
-// and the combiner thread folds verdicts into the serving ClusterIndex
-// and the match callback. The verdict stream, cluster answers, and
-// realtime.* metrics are those of the classic single-worker
-// implementation; scale-out is one constructor argument away
+// RealtimePipeline is the one-shard ShardedPipeline (see
+// stream/sharded_pipeline.h for the full API and threading model): one
+// shard worker runs the emit -> match loop over a bounded microbatch
+// queue, and the combiner thread folds verdicts into the serving
+// ClusterIndex and the match callback. Scale-out is one option away
 // (ShardedOptions::shard_count).
 
 #ifndef PIER_STREAM_REALTIME_PIPELINE_H_
 #define PIER_STREAM_REALTIME_PIPELINE_H_
 
-#include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "stream/sharded_pipeline.h"
 
 namespace pier {
 
-class RealtimePipeline {
+class RealtimePipeline : public ShardedPipeline {
  public:
-  // Called from the combiner thread for every pair the matcher
-  // classified as a duplicate.
-  using MatchCallback = ShardedPipeline::MatchCallback;
-
   // `matcher` must outlive this object. options.execution_threads
   // sets the match-execution parallelism (1 = sequential).
   RealtimePipeline(PierOptions options, const Matcher* matcher,
                    MatchCallback on_match)
-      : impl_(MakeOptions(std::move(options)), matcher, std::move(on_match)) {}
-
-  // Stops the workers and joins them. Pending prioritized comparisons
-  // are abandoned unless Drain() was called first.
-  ~RealtimePipeline() = default;
-
-  RealtimePipeline(const RealtimePipeline&) = delete;
-  RealtimePipeline& operator=(const RealtimePipeline&) = delete;
-
-  // Thread-safe: feeds one increment (profiles with dense ids
-  // continuing ingestion order, or kInvalidProfileId ids for the
-  // router to assign) and wakes the worker. Returns false with a
-  // stderr diagnostic -- ingesting nothing -- after Stop() or after a
-  // restore attempt that failed mid-way (the pipeline state is then
-  // partial; a silently accepted increment would never produce
-  // correct verdicts).
-  bool Ingest(std::vector<EntityProfile> profiles) {
-    return impl_.Ingest(std::move(profiles));
-  }
-
-  // Mutable streams (requires options.mutable_stream): retract
-  // profiles / apply corrections. The call quiesces the pipeline and
-  // applies the mutation before returning, so cluster queries reflect
-  // it immediately (see ShardedPipeline::Delete / Update).
-  bool Delete(const std::vector<ProfileId>& ids) {
-    return impl_.Delete(ids);
-  }
-  bool Update(std::vector<EntityProfile> profiles) {
-    return impl_.Update(std::move(profiles));
-  }
-
-  // Signals that no further increments will arrive, unlocking the
-  // block scanner's full tail rescan. Call before the final Drain()
-  // for eventual (batch-equivalent) quality.
-  void NotifyStreamEnd() { impl_.NotifyStreamEnd(); }
-
-  // Blocks until the prioritizer has no more comparisons to emit and
-  // every verdict produced so far has been delivered. Call after the
-  // last Ingest to get eventual quality.
-  void Drain() { impl_.Drain(); }
-
-  // Stops and joins the workers early (the destructor's shutdown,
-  // callable explicitly). Idempotent; subsequent Ingest() calls are
-  // rejected.
-  void Stop() { impl_.Stop(); }
-
-  // Best-effort durability: after every `every`-th Ingest the pipeline
-  // quiesces and writes an atomic snapshot to `dir` (rotated down to
-  // the newest `keep`; see persist/checkpoint_manager.h). A batch in
-  // flight through the matcher is finished before the snapshot is cut,
-  // so the file captures a consistent instant.
-  void EnableCheckpoints(const std::string& dir, size_t every = 10,
-                         size_t keep = 3) {
-    impl_.EnableCheckpoints(dir, every, keep);
-  }
-
-  // Restores state from a snapshot written by a checkpointing
-  // RealtimePipeline constructed with the same PierOptions. Must be
-  // called before the first Ingest; returns false with a diagnostic in
-  // *error on a corrupt or mismatched snapshot. Early validation
-  // failures leave the pipeline usable; a decode failure after
-  // restoration began poisons it (see
-  // ShardedPipeline::RestoreFromSnapshot).
-  bool RestoreFromSnapshot(std::istream& snapshot, std::string* error) {
-    return impl_.RestoreFromSnapshot(snapshot, error);
-  }
-
-  // Online cluster queries (thread-safe, lock-free): the current
-  // entity cluster of `id`, maintained from every positive verdict
-  // delivered so far. Never blocks Ingest or the workers — the
-  // ClusterIndex read side is seqlock-validated, not lock-based (see
-  // serve/cluster_index.h). Query answers always reflect a prefix of
-  // the verdict stream.
-  serve::ClusterView ClusterOf(ProfileId id) const {
-    return impl_.ClusterOf(id);
-  }
-  ProfileId ClusterIdOf(ProfileId id) const { return impl_.ClusterIdOf(id); }
-  const serve::ClusterIndex& clusters() const { return impl_.clusters(); }
-
-  // Statistics (thread-safe, approximate while running).
-  uint64_t comparisons_processed() const {
-    return impl_.comparisons_processed();
-  }
-  uint64_t matches_found() const { return impl_.matches_found(); }
-  // Ingest() calls so far (after a restore: as of the checkpoint).
-  uint64_t ingests() const { return impl_.ingests(); }
-
-  size_t execution_threads() const { return impl_.execution_threads(); }
+      : ShardedPipeline(OneShard(std::move(options)), matcher,
+                        std::move(on_match)) {}
 
  private:
-  static ShardedOptions MakeOptions(PierOptions options) {
-    ShardedOptions sharded;
+  static ShardedOptions OneShard(PierOptions options) {
+    ShardedOptions sharded;  // shard_count = 1
     sharded.pipeline = std::move(options);
-    sharded.shard_count = 1;
     return sharded;
   }
-
-  ShardedPipeline impl_;
 };
 
 }  // namespace pier

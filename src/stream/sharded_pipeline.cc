@@ -16,6 +16,9 @@ namespace pier {
 
 namespace {
 
+// Bounded combiner input queue depth (verdict batches).
+constexpr size_t kVerdictQueueCapacity = 256;
+
 obs::Histogram* LatencyHistogram(obs::MetricsRegistry* metrics) {
   return metrics == nullptr
              ? nullptr
@@ -45,7 +48,7 @@ ShardedPipeline::ShardedPipeline(ShardedOptions options, const Matcher* matcher,
       on_match_(std::move(on_match)),
       tokenizer_(options_.pipeline.tokenizer),
       shard_token_counts_(options_.shard_count, 0),
-      verdict_queue_(options_.verdict_queue_capacity),
+      verdict_queue_(kVerdictQueueCapacity),
       metrics_(options_.pipeline.metrics),
       latency_tracker_(LatencyHistogram(options_.pipeline.metrics),
                        PendingGauge(options_.pipeline.metrics),
@@ -687,12 +690,11 @@ bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,
   matches_.store(matches, std::memory_order_relaxed);
   duplicates_suppressed_.store(duplicates, std::memory_order_relaxed);
   clusters_.TrackUpTo(profiles_.size());
-  // Kick every shard with an empty microbatch: the restored
-  // prioritizers may hold pending comparisons to resume emitting.
-  std::vector<Microbatch> kick(options_.shard_count);
-  const double arrival_s = lifetime_.ElapsedSeconds();
-  for (auto& microbatch : kick) microbatch.arrival_s = arrival_s;
-  Route(std::move(kick));
+  // No shard is woken: a checkpoint is a quiesced cut, so every restored
+  // shard had drained its prioritizer and parked, and it stays parked
+  // until its next microbatch -- as the checkpointed pipeline would.
+  // (Waking it would run one more findK() step, and register an
+  // arrival if it carried one.)
   return true;
 }
 

@@ -108,8 +108,6 @@ struct ShardedOptions {
   // Bounded microbatch queue depth per shard; a full queue blocks
   // Ingest (backpressure).
   size_t queue_capacity = 64;
-  // Bounded combiner input queue depth (verdict batches).
-  size_t verdict_queue_capacity = 256;
   // Test seam: called from the combiner thread for every
   // *deduplicated* executed comparison, match or not, in delivery
   // order. The equivalence tests collect the verdict set here.
@@ -253,7 +251,10 @@ class ShardedPipeline {
     std::unique_ptr<ParallelMatchExecutor> executor;
     std::unique_ptr<ShardQueue<Microbatch>> queue;
     std::thread worker;
-    bool idle = true;  // guarded by state_mutex_
+    // Guarded by state_mutex_. False until the worker's first pass
+    // through EmitBatch parks it, so a quiesce on a fresh pipeline
+    // waits for that pass too.
+    bool idle = false;
     obs::Gauge* queue_depth_metric = nullptr;
     obs::Gauge* busy_metric = nullptr;
   };
@@ -354,8 +355,8 @@ class ShardedPipeline {
   std::atomic<uint64_t> duplicates_suppressed_{0};
 
   // realtime.* metrics (the names predate sharding and are shared with
-  // the N = 1 facade) plus the shard.* fan-out metrics; all null when
-  // un-instrumented.
+  // the N = 1 RealtimePipeline) plus the shard.* fan-out metrics; all
+  // null when un-instrumented.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* ingests_metric_ = nullptr;
   obs::Counter* deletes_metric_ = nullptr;

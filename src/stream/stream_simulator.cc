@@ -88,7 +88,6 @@ struct StreamSimulator::LoopState {
   bool stream_ended_notified = false;
   uint64_t executed = 0;
   uint64_t found = 0;
-  uint64_t last_recorded = 0;
   // True-match pairs already credited (guards against an algorithm
   // emitting the same pair twice, e.g. a Bloom false-negative path).
   std::unordered_set<uint64_t> credited;
@@ -145,7 +144,9 @@ void StreamSimulator::SnapshotLoopState(persist::SnapshotBuilder& builder,
   // Configuration fingerprint: a checkpoint only resumes against the
   // same dataset, algorithm, matcher, and cost-relevant options. The
   // execution thread count is deliberately absent -- verdicts are
-  // deterministic in emission order for every value.
+  // deterministic in emission order for every value -- and so is the
+  // algorithm's own configuration (a frontier seed, say), which the
+  // algorithm's sections fingerprint themselves (`pier.meta`).
   std::ostream& meta = builder.AddSection("sim.meta");
   serial::WriteString(meta, algorithm.name());
   serial::WriteString(meta, dataset_->name);
@@ -155,9 +156,6 @@ void StreamSimulator::SnapshotLoopState(persist::SnapshotBuilder& builder,
   serial::WriteU8(meta, static_cast<uint8_t>(options_.cost_mode));
   serial::WriteF64(meta, options_.increments_per_second);
   serial::WriteF64(meta, options_.time_budget_s);
-  serial::WriteU64(meta, options_.curve_granularity);
-  serial::WriteU64(meta, options_.stall_limit);
-  serial::WriteU64(meta, options_.frontier_seed);
 
   std::ostream& st = builder.AddSection("sim.state");
   serial::WriteF64(st, state.vt);
@@ -167,7 +165,6 @@ void StreamSimulator::SnapshotLoopState(persist::SnapshotBuilder& builder,
   serial::WriteBool(st, state.stream_ended_notified);
   serial::WriteU64(st, state.executed);
   serial::WriteU64(st, state.found);
-  serial::WriteU64(st, state.last_recorded);
   std::vector<uint64_t> credited(state.credited.begin(),
                                  state.credited.end());
   std::sort(credited.begin(), credited.end());
@@ -217,9 +214,6 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
   uint8_t cost_mode = 0;
   double rate = 0.0;
   double budget = 0.0;
-  uint64_t granularity = 0;
-  uint64_t stall_limit = 0;
-  uint64_t frontier_seed = 0;
   if (!serial::ReadString(meta, &alg_name) ||
       !serial::ReadString(meta, &dataset_name) ||
       !serial::ReadU64(meta, &num_profiles) ||
@@ -227,9 +221,6 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
       !serial::ReadU64(meta, &num_increments) ||
       !serial::ReadU8(meta, &cost_mode) || !serial::ReadF64(meta, &rate) ||
       !serial::ReadF64(meta, &budget) ||
-      !serial::ReadU64(meta, &granularity) ||
-      !serial::ReadU64(meta, &stall_limit) ||
-      !serial::ReadU64(meta, &frontier_seed) ||
       meta.peek() != std::istringstream::traits_type::eof()) {
     SetResumeError(error, "section 'sim.meta' failed to decode");
     return false;
@@ -255,14 +246,10 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
   if (num_increments != increments_.size() ||
       cost_mode != static_cast<uint8_t>(options_.cost_mode) ||
       rate != options_.increments_per_second ||
-      budget != options_.time_budget_s ||
-      granularity != options_.curve_granularity ||
-      stall_limit != options_.stall_limit ||
-      frontier_seed != options_.frontier_seed) {
+      budget != options_.time_budget_s) {
     SetResumeError(error,
                    "snapshot simulator options do not match this "
-                   "configuration (increments/cost mode/rate/budget/"
-                   "granularity/stall limit/frontier seed)");
+                   "configuration (increments/cost mode/rate/budget)");
     return false;
   }
 
@@ -277,7 +264,6 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
       !serial::ReadU64(st, &s.consecutive_stalls) ||
       !serial::ReadBool(st, &s.stream_ended_notified) ||
       !serial::ReadU64(st, &s.executed) || !serial::ReadU64(st, &s.found) ||
-      !serial::ReadU64(st, &s.last_recorded) ||
       !serial::ReadVec(st, &credited,
                        [](std::istream& in, uint64_t* key) {
                          return serial::ReadU64(in, key);
@@ -296,8 +282,7 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
     SetResumeError(error, "section 'sim.state' failed to decode");
     return false;
   }
-  if (s.next_arrival > increments_.size() || s.last_recorded > s.executed ||
-      s.found != credited.size() || s.found > s.executed || points.empty()) {
+  if (s.next_arrival > increments_.size() || s.found != credited.size() || s.found > s.executed || points.empty()) {
     SetResumeError(error, "section 'sim.state' is internally inconsistent");
     return false;
   }
@@ -333,7 +318,7 @@ bool StreamSimulator::RestoreLoopState(const persist::SnapshotReader& reader,
 RunResult StreamSimulator::RunLoop(ErAlgorithm& algorithm,
                                    const Matcher& matcher,
                                    LoopState& state) const {
-  const CostMeter meter(options_.cost_mode, options_.cost_model);
+  const CostMeter meter(options_.cost_mode);
 
   // Instrumentation: a caller-supplied registry, or a run-local one
   // when only the snapshot stream was requested.
@@ -398,15 +383,11 @@ RunResult StreamSimulator::RunLoop(ErAlgorithm& algorithm,
   const double interarrival =
       options_.IsStatic() ? 0.0 : 1.0 / options_.increments_per_second;
 
+  // One curve point per batch boundary.
   auto record_point = [&]() {
-    if (state.executed - state.last_recorded < options_.curve_granularity &&
-        !result.curve.empty()) {
-      return;
-    }
     result.curve.Add(CurvePoint{state.vt, state.executed, state.found});
     result.cluster_curve.Add(CurvePoint{state.vt, state.executed,
                                         state.tracker->connected_pairs()});
-    state.last_recorded = state.executed;
   };
 
   // Number of increments whose arrival time has passed but which have
@@ -534,14 +515,14 @@ RunResult StreamSimulator::RunLoop(ErAlgorithm& algorithm,
         // arrivals). That used to be a hard CHECK; it is a legitimate
         // -- if unproductive -- state, so diagnose it instead: charge
         // an idle tick (whose per-call overhead guarantees the clock
-        // advances), count it, and give up only after stall_limit
+        // advances), count it, and give up only after kStallLimit
         // consecutive stalls.
         ++result.stalled_ticks;
         obs::CounterAdd(m.stalled_ticks);
         Stopwatch sw;
         const WorkStats stats = algorithm.OnIdleTick();
         state.vt += meter.StepCost(stats, sw.ElapsedSeconds());
-        if (++state.consecutive_stalls >= options_.stall_limit) {
+        if (++state.consecutive_stalls >= kStallLimit) {
           result.stall_aborted = true;
           break;
         }

@@ -54,11 +54,6 @@ struct SimulatorOptions {
 
   // Cost attribution mode.
   CostMeter::Mode cost_mode = CostMeter::Mode::kModeled;
-  CostModel cost_model;
-
-  // Record at most one curve point per this many executed comparisons
-  // (1 = every batch boundary).
-  size_t curve_granularity = 1;
 
   // Worker threads for match execution (1 = sequential). The verdict
   // stream is deterministic in emission order, so with the modeled
@@ -75,19 +70,6 @@ struct SimulatorOptions {
   obs::MetricsRegistry* metrics = nullptr;
   std::ostream* metrics_out = nullptr;
   double metrics_interval_s = 0.0;
-
-  // Seed for the stochastic frontier strategies (SPER-SK): callers
-  // mirror PierOptions::prioritizer.frontier_seed here so the value is
-  // recorded in (and validated against) checkpoint metadata -- a
-  // resumed run can never silently continue a differently-seeded
-  // stream. Ignored by the deterministic strategies.
-  uint64_t frontier_seed = 42;
-
-  // An algorithm that refuses a due increment while holding no pending
-  // batch is *stalled* (e.g. a windowed baseline between arrivals):
-  // the simulator charges it idle ticks, counts `stalled_ticks`, and
-  // ends the run gracefully after this many consecutive stalls.
-  size_t stall_limit = 10000;
 
   // Checkpointing (see src/persist/): when `checkpoint_dir` is
   // non-empty, the simulator writes a durable snapshot of the
@@ -109,6 +91,12 @@ struct SimulatorOptions {
 
 class StreamSimulator {
  public:
+  // An algorithm that refuses a due increment while holding no pending
+  // batch is *stalled* (e.g. a windowed baseline between arrivals):
+  // the simulator charges it idle ticks, counts `stalled_ticks`, and
+  // ends the run gracefully after this many consecutive stalls.
+  static constexpr size_t kStallLimit = 10000;
+
   StreamSimulator(const Dataset* dataset, SimulatorOptions options);
 
   // Runs `algorithm` against the stream with `matcher` classifying the

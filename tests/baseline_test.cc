@@ -68,27 +68,6 @@ TEST(BatchErTest, CleanCleanCrossSourceOnly) {
   EXPECT_FALSE(keys.count(PairKey(0, 1)));
 }
 
-TEST(BatchErTest, MetaBlockingModePrunesComparisons) {
-  // WEP cleaning drops below-mean edges: the weak cross pair between
-  // the two clusters disappears while intra-cluster pairs survive.
-  BatchEr plain(DatasetKind::kDirty, BlockingOptions{});
-  BatchEr cleaned(DatasetKind::kDirty, BlockingOptions{}, 256,
-                  PruningAlgorithm::kWep);
-  const auto feed = [](BatchEr& alg) {
-    alg.OnIncrement({Raw(0, 0, "alpha beta gamma"),
-                     Raw(1, 0, "alpha beta gamma"),
-                     Raw(2, 0, "alpha zeta"), Raw(3, 0, "zeta eta")});
-    alg.OnStreamEnd();
-  };
-  feed(plain);
-  feed(cleaned);
-  const auto all = Keys(DrainAll(plain));
-  const auto kept = Keys(DrainAll(cleaned));
-  EXPECT_LT(kept.size(), all.size());
-  EXPECT_TRUE(kept.count(PairKey(0, 1)));  // strongest pair survives
-  EXPECT_STREQ(cleaned.name(), "BATCH-MB");
-}
-
 // ---------------------------------------------------------------------------
 // PBS
 // ---------------------------------------------------------------------------

@@ -1,14 +1,12 @@
 // Integration tests for the extension systems on generated data:
-// PSN variants, DySNI, and the BATCH-MB meta-blocking configuration
-// run end-to-end through the simulator and reach sane quality; the
-// bounded priority queue also gets a differential test under the
-// I-PBS composite comparator.
+// PSN variants and DySNI run end-to-end through the simulator and
+// reach sane quality; the bounded priority queue also gets a
+// differential test under the I-PBS composite comparator.
 
-#include <set>
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
-#include "baseline/batch_er.h"
 #include "baseline/dysni.h"
 #include "baseline/psn.h"
 #include "datagen/generators.h"
@@ -72,22 +70,6 @@ TEST(ExtensionIntegrationTest, DySniRealTimeQuality) {
   const JaccardMatcher matcher(0.35);
   const RunResult r = sim.Run(dysni, matcher);
   EXPECT_GT(r.FinalPc(), 0.6);
-}
-
-TEST(ExtensionIntegrationTest, BatchMbUsesFarFewerComparisons) {
-  const Dataset d = SmallBib();
-  const StreamSimulator sim(&d, StaticSim());
-  const JaccardMatcher matcher(0.35);
-
-  BatchEr plain(d.kind, BlockingOptions{});
-  const RunResult full = sim.Run(plain, matcher);
-
-  BatchEr cleaned(d.kind, BlockingOptions{}, 256, PruningAlgorithm::kWnp);
-  const RunResult pruned = sim.Run(cleaned, matcher);
-
-  EXPECT_LT(pruned.comparisons_executed, full.comparisons_executed);
-  // Meta-blocking keeps most of the recall at a fraction of the cost.
-  EXPECT_GT(pruned.FinalPc(), full.FinalPc() - 0.2);
 }
 
 TEST(BoundedPqCompositeComparatorTest, DifferentialAgainstSortedOracle) {

@@ -84,13 +84,16 @@ TEST(AdaptiveKTest, EmptyBatchIgnored) {
 }
 
 TEST(AdaptiveKTest, WindowForgetsOldMeasurements) {
-  AdaptiveKOptions options;
-  options.window = 4;
-  AdaptiveK k(options);
+  AdaptiveK k;
   k.OnArrival(0.0);
   k.OnArrival(10.0);  // one slow gap
-  for (int i = 1; i <= 4; ++i) k.OnArrival(10.0 + 0.1 * i);
-  // The 10 s gap has been evicted from the window of 4.
+  for (size_t i = 1; i < AdaptiveK::kWindow; ++i) {
+    k.OnArrival(10.0 + 0.1 * static_cast<double>(i));
+  }
+  // The window is full and still holds the 10 s gap.
+  EXPECT_GT(k.MeanInterarrival(), 1.0);
+  k.OnArrival(10.0 + 0.1 * static_cast<double>(AdaptiveK::kWindow));
+  // The 10 s gap has been evicted from the window.
   EXPECT_NEAR(k.MeanInterarrival(), 0.1, 1e-9);
 }
 

@@ -177,7 +177,6 @@ TEST(SperSkTest, FixedSeedDeterministicAcrossExecutionThreads) {
     SimulatorOptions sim_options;
     sim_options.num_increments = 10;
     sim_options.cost_mode = CostMeter::Mode::kModeled;
-    sim_options.curve_granularity = 1;
     sim_options.execution_threads = threads;
     const StreamSimulator simulator(&dataset, sim_options);
     PierOptions options;

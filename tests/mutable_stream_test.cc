@@ -805,9 +805,9 @@ persist::SnapshotReader ReadCheckpoint(const std::string& path) {
 // pipeline: router sections (dictionary, profiles, the combiner's pair
 // filter, clusters) and every shard's sections. An empty Delete
 // checkpoints a quiescent pipeline without routing any work, so the
-// second snapshot of each side holds the same state. The one
-// exception is each shard's `findk`: a restore kicks every shard with
-// an empty microbatch stamped with the wall clock, so findK() moves.
+// second snapshot of each side holds the same state. That includes
+// each shard's `findk`: a restore wakes no shard worker, so findK()
+// neither registers an arrival nor takes a smoothing step.
 TEST(MutableShardedTest, SnapshotRestoreSnapshotIsByteIdentical) {
   CensusOptions data_options;
   data_options.num_records = 150;
@@ -853,7 +853,6 @@ TEST(MutableShardedTest, SnapshotRestoreSnapshotIsByteIdentical) {
   ASSERT_EQ(actual.section_names(), expected.section_names());
   ASSERT_TRUE(expected.Has("sharded.filter"));
   for (const std::string& name : expected.section_names()) {
-    if (name.ends_with(".findk")) continue;
     EXPECT_TRUE(*actual.Section(name) == *expected.Section(name)) << name;
   }
   std::filesystem::remove_all(original_dir);

@@ -221,6 +221,12 @@ TEST(SnapshotTest, V4FileRejected) { ExpectOlderVersionRejected(4); }
 // writes the pair registry on every stream.
 TEST(SnapshotTest, V5FileRejected) { ExpectOlderVersionRejected(5); }
 
+// v6 fingerprinted findK()'s window, utilization and gain and SPER-SK's
+// sample budget and probe count in `pier.meta`, and the simulator's
+// curve granularity, stall limit and frontier seed in `sim.meta`; v7
+// has them as constants.
+TEST(SnapshotTest, V6FileRejected) { ExpectOlderVersionRejected(6); }
+
 TEST(SnapshotTest, OutOfRangeVersionsRejected) {
   for (const uint32_t version : {uint32_t{0}, persist::kFormatVersion - 1,
                                  persist::kFormatVersion + 1}) {

@@ -87,7 +87,6 @@ SimulatorOptions BaseOptions(double rate) {
   options.num_increments = 10;
   options.increments_per_second = rate;
   options.cost_mode = CostMeter::Mode::kModeled;
-  options.curve_granularity = 1;
   return options;
 }
 
@@ -346,6 +345,47 @@ TEST_F(RecoveryEquivalenceTest, MismatchedConfigurationRejected) {
     EXPECT_FALSE(
         simulator.Resume(fresh, *matcher, snapshot, &error).has_value());
     EXPECT_NE(error.find("snapshot"), std::string::npos) << error;
+  }
+}
+
+// The frontier seed lives in the pipeline's options fingerprint
+// (`pier.meta`), not in the simulator's: a SPER-SK checkpoint never
+// resumes into a differently-seeded pipeline, which would continue a
+// different comparison stream.
+TEST_F(RecoveryEquivalenceTest, DifferentFrontierSeedRejected) {
+  const Dataset dataset = TinyDataset();
+  SimulatorOptions with_ckpt = BaseOptions(0.0);
+  with_ckpt.checkpoint_dir = dir_.string();
+  with_ckpt.checkpoint_every = 5;
+  const StreamSimulator simulator(&dataset, with_ckpt);
+  const auto matcher = MakeMatcher("JS", 0.5);
+  const auto make_sper_sk = [&](uint64_t seed) {
+    PierOptions options;
+    options.kind = dataset.kind;
+    options.strategy = PierStrategy::kSperSk;
+    options.prioritizer.frontier_seed = seed;
+    return std::make_unique<PierAdapter>(options);
+  };
+  auto algo = make_sper_sk(42);
+  (void)simulator.Run(*algo, *matcher);
+  const auto files = CheckpointFiles(dir_);
+  ASSERT_FALSE(files.empty());
+  const std::string file = files[files.size() / 2];
+  {
+    std::ifstream snapshot(file, std::ios::binary);
+    auto fresh = make_sper_sk(43);
+    std::string error;
+    EXPECT_FALSE(
+        simulator.Resume(*fresh, *matcher, snapshot, &error).has_value());
+    EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+  }
+  {
+    std::ifstream snapshot(file, std::ios::binary);
+    auto fresh = make_sper_sk(42);
+    std::string error;
+    EXPECT_TRUE(
+        simulator.Resume(*fresh, *matcher, snapshot, &error).has_value())
+        << error;
   }
 }
 

@@ -326,14 +326,12 @@ TEST(SimulatorTest, StallingAlgorithmIsDiagnosedNotCrashed) {
 TEST(SimulatorTest, PermanentStallHitsLimitAndAborts) {
   const Dataset d = TinyDataset();
   const JaccardMatcher matcher(0.4);
-  SimulatorOptions options = ModeledOptions(8, 1000.0);
-  options.stall_limit = 50;
-  StreamSimulator sim(&d, options);
+  StreamSimulator sim(&d, ModeledOptions(8, 1000.0));
   // Never becomes ready again after the first increment.
   WindowedStaller alg(/*ticks_needed=*/1 << 30);
   const RunResult result = sim.Run(alg, matcher);
   EXPECT_TRUE(result.stall_aborted);
-  EXPECT_GE(result.stalled_ticks, 50u);
+  EXPECT_EQ(result.stalled_ticks, StreamSimulator::kStallLimit);
   // Terminated without consuming the stream (and without crashing).
   EXPECT_LT(result.stream_consumed_at, 0.0);
 }

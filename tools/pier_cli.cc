@@ -273,18 +273,17 @@ int main(int argc, char** argv) {
   }
 
   SimulatorOptions sim_options;
-  sim_options.frontier_seed = options.prioritizer.frontier_seed;
   sim_options.num_increments = GetNumber<size_t>(args, "increments", 100);
   sim_options.increments_per_second = GetNumber(args, "rate", 0.0);
   sim_options.time_budget_s =
       GetNumber(args, "budget", sim_options.time_budget_s);
-  const std::string cost_model = Get(args, "cost-model", "measured");
-  if (cost_model == "modeled") {
+  const std::string cost_mode = Get(args, "cost-model", "measured");
+  if (cost_mode == "modeled") {
     sim_options.cost_mode = CostMeter::Mode::kModeled;
-  } else if (cost_model == "measured") {
+  } else if (cost_mode == "measured") {
     sim_options.cost_mode = CostMeter::Mode::kMeasured;
   } else {
-    std::fprintf(stderr, "unknown --cost-model: %s\n", cost_model.c_str());
+    std::fprintf(stderr, "unknown --cost-model: %s\n", cost_mode.c_str());
     return Usage();
   }
   sim_options.execution_threads = options.execution_threads;
