@@ -105,11 +105,12 @@ struct PierOptions {
   uint32_t token_shard_index = 0;
   // Maintain the in-pipeline cluster index (TrackUpTo on ingest,
   // serve.* instrumentation). Sharded deployments disable this on
-  // shard sub-pipelines: the combiner owns the single serving index.
+  // shard sub-pipelines: their workers' delivery step feeds the single
+  // serving index.
   bool track_clusters = true;
   // Mutable streams: accept Delete / Update increments. Each pair
   // filter -- the executed-comparison filter, I-PBS's CF, the sharded
-  // combiner's delivered filter -- withdraws a retracted profile's
+  // delivery step's filter -- withdraws a retracted profile's
   // pairs, and the cluster index keeps its match edges. It changes the
   // cluster index's snapshot wire format, so it participates in the
   // options fingerprint.

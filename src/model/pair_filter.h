@@ -1,8 +1,8 @@
 // The set of comparison pairs a component has already seen: the
 // paper's I-PBS comparison filter CF (Algorithm 3), PIER's
-// executed-comparison filter and the sharded combiner's delivered
-// filter are all this one structure, on append-only and mutable
-// streams alike. It answers test-and-add on pairs and, for mutable
+// executed-comparison filter and the sharded delivery step's filter
+// are all this one structure, on append-only and mutable streams
+// alike. It answers test-and-add on pairs and, for mutable
 // streams, retracts every pair of a deleted profile so a corrected
 // profile's comparisons pass again.
 //

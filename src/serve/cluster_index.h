@@ -103,7 +103,7 @@ class ClusterIndex {
   // Writer: folds a batch of match edges in one pass, amortizing the
   // writer mutex and seqlock version bumps across up to
   // kMaxUnionsPerWindow unions per write window (the sharded
-  // combiner's hot path). Readers retry at most once per window
+  // pipeline's delivery step). Readers retry at most once per window
   // instead of once per edge, and windows stay short enough that the
   // serving p99 budget holds. Returns the number of edges that merged
   // two previously distinct clusters. Equivalent to calling AddMatch

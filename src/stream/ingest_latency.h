@@ -6,14 +6,14 @@
 // wall-clock delay from data arrival to served verdicts.
 //
 // Mechanism: every Ingest pushes its arrival timestamp; every verdict
-// delivery (combiner side) closes out all arrivals that happened
-// before it, recording one latency sample each. An ingest whose work
-// produced no comparisons is closed out when the pipeline drains
-// (FlushAll) -- but those samples measure time-to-quiescence, not
-// verdict freshness, so they land in the separate `drain` histogram
-// (realtime.ingest_to_quiescence_ns) rather than polluting the
-// freshness percentiles with shutdown-shaped outliers. Both paths
-// reset the pending gauge.
+// batch delivery (a shard worker's serialized delivery step) closes
+// out all arrivals that happened before it, recording one latency
+// sample each. An ingest whose work produced no comparisons is closed
+// out when the pipeline drains (FlushAll) -- but those samples measure
+// time-to-quiescence, not verdict freshness, so they land in the
+// separate `drain` histogram (realtime.ingest_to_quiescence_ns) rather
+// than polluting the freshness percentiles with shutdown-shaped
+// outliers. Both paths reset the pending gauge.
 
 #ifndef PIER_STREAM_INGEST_LATENCY_H_
 #define PIER_STREAM_INGEST_LATENCY_H_

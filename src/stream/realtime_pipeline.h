@@ -8,10 +8,10 @@
 //
 // RealtimePipeline is the one-shard ShardedPipeline (see
 // stream/sharded_pipeline.h for the full API and threading model): one
-// shard worker runs the emit -> match loop over a bounded microbatch
-// queue, and the combiner thread folds verdicts into the serving
-// ClusterIndex and the match callback. Scale-out is one option away
-// (ShardedOptions::shard_count).
+// shard worker runs the emit -> match -> deliver loop over a bounded
+// microbatch queue, folding verdicts into the serving ClusterIndex and
+// running the match callback on its own thread. Scale-out is one
+// option away (ShardedOptions::shard_count).
 
 #ifndef PIER_STREAM_REALTIME_PIPELINE_H_
 #define PIER_STREAM_REALTIME_PIPELINE_H_

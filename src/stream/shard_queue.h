@@ -1,7 +1,7 @@
 // Bounded multi-producer blocking queue for the sharded ingest path
-// (stream/sharded_pipeline.h): the router pushes microbatches, one
-// shard worker pops them, and the combiner uses a second instance for
-// per-shard verdict batches.
+// (stream/sharded_pipeline.h): the router pushes microbatches and one
+// shard worker pops them. It is the only queue on that path; workers
+// deliver their verdicts directly.
 //
 // Backpressure semantics: Push blocks while the queue holds `capacity`
 // items, so a slow shard stalls the router (and, transitively, every

@@ -16,9 +16,6 @@ namespace pier {
 
 namespace {
 
-// Bounded combiner input queue depth (verdict batches).
-constexpr size_t kVerdictQueueCapacity = 256;
-
 obs::Histogram* LatencyHistogram(obs::MetricsRegistry* metrics) {
   return metrics == nullptr
              ? nullptr
@@ -48,7 +45,6 @@ ShardedPipeline::ShardedPipeline(ShardedOptions options, const Matcher* matcher,
       on_match_(std::move(on_match)),
       tokenizer_(options_.pipeline.tokenizer),
       shard_token_counts_(options_.shard_count, 0),
-      verdict_queue_(kVerdictQueueCapacity),
       metrics_(options_.pipeline.metrics),
       latency_tracker_(LatencyHistogram(options_.pipeline.metrics),
                        PendingGauge(options_.pipeline.metrics),
@@ -69,8 +65,6 @@ ShardedPipeline::ShardedPipeline(ShardedOptions options, const Matcher* matcher,
     microbatches_metric_ = r.GetCounter("shard.microbatches");
     backpressure_waits_metric_ = r.GetCounter("shard.backpressure_waits");
     backpressure_wait_ns_metric_ = r.GetHistogram("shard.backpressure_wait_ns");
-    verdict_queue_depth_metric_ = r.GetGauge("shard.verdict_queue_depth");
-    verdict_batches_metric_ = r.GetCounter("shard.verdict_batches");
     duplicates_metric_ = r.GetCounter("shard.duplicates_suppressed");
     clusters_.InstrumentWith(metrics_);
   }
@@ -99,7 +93,6 @@ ShardedPipeline::ShardedPipeline(ShardedOptions options, const Matcher* matcher,
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->worker = std::thread([this, s] { ShardLoop(s); });
   }
-  combiner_ = std::thread([this] { CombinerLoop(); });
 }
 
 ShardedPipeline::~ShardedPipeline() { Stop(); }
@@ -116,15 +109,12 @@ void ShardedPipeline::Stop() {
     std::lock_guard<std::mutex> lock(state_mutex_);
   }
   drained_cv_.notify_all();
-  // Close the verdict queue before joining the workers: a worker
-  // blocked pushing a verdict batch must observe the close and bail
-  // out, while the combiner keeps draining already-queued batches.
+  // A worker parked in Pop wakes on the close; one inside a batch
+  // delivers it and exits at the top of its loop.
   for (auto& shard : shards_) shard->queue->Close();
-  verdict_queue_.Close();
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
-  if (combiner_.joinable()) combiner_.join();
 }
 
 void ShardedPipeline::RouteNewTokens() {
@@ -235,9 +225,9 @@ bool ShardedPipeline::BeginMutationLocked(const char* verb) {
   }
   // Quiesce: with ingest_mutex_ held no new work can arrive; once every
   // routed microbatch is ingested and every verdict delivered, the
-  // shard workers are parked in Pop and the combiner in its queue --
-  // the router may then touch shard engines and the delivered filter
-  // directly, exactly like the checkpoint path.
+  // shard workers are parked in Pop -- the router may then touch shard
+  // engines and the delivered filter directly, exactly like the
+  // checkpoint path.
   QuiesceLocked();
   return !stop_.load(std::memory_order_acquire);
 }
@@ -415,7 +405,7 @@ void ShardedPipeline::ShardLoop(size_t shard_index) {
       const double seconds = sw.ElapsedSeconds();
       // The shard that scheduled the pairs folds their verdicts into
       // its own prioritizer (FB-PCS block posteriors) and findK(); it
-      // tracks no clusters (the combiner owns the serving index).
+      // tracks no clusters (Deliver feeds the one serving index).
       // Scheduling order may shift, but the drained comparison *set*
       // -- hence cluster equivalence -- is unchanged.
       pipeline.RecordVerdicts(batch, verdicts, seconds);
@@ -423,20 +413,11 @@ void ShardedPipeline::ShardLoop(size_t shard_index) {
       if (match_ns_metric_ != nullptr && seconds > 0.0) {
         match_ns_metric_->Record(static_cast<uint64_t>(seconds * 1e9));
       }
-      VerdictBatch out;
-      out.shard = shard_index;
-      out.comparisons = std::move(batch);
-      out.is_match.resize(verdicts.size());
-      for (size_t i = 0; i < verdicts.size(); ++i) {
-        out.is_match[i] = verdicts[i].is_match ? 1 : 0;
-      }
-      verdicts_pushed_.fetch_add(1, std::memory_order_release);
-      if (!verdict_queue_.Push(std::move(out))) return;  // stopping
-      obs::GaugeSet(verdict_queue_depth_metric_,
-                    static_cast<double>(verdict_queue_.size()));
+      Deliver(batch, verdicts);
       continue;
     }
-    // Fully drained for now: publish idle, then block for more input.
+    // Fully drained for now, every verdict delivered: publish idle,
+    // then block for more input.
     MarkShardIdle(shard);
     if (!shard.queue->Pop(&microbatch)) return;  // closed and empty
     OnMicrobatchPopped(shard);
@@ -444,62 +425,51 @@ void ShardedPipeline::ShardLoop(size_t shard_index) {
   }
 }
 
-void ShardedPipeline::CombinerLoop() {
+void ShardedPipeline::Deliver(const std::vector<Comparison>& batch,
+                              const std::vector<MatchVerdict>& verdicts) {
   // With one shard there is nothing to dedup: the shard's own
   // executed-comparison filter already guarantees exactly-once
   // delivery, and skipping the global filter keeps the N = 1 verdict
   // stream bit-identical to the classic RealtimePipeline.
   const bool dedup = options_.shard_count > 1;
   std::vector<std::pair<ProfileId, ProfileId>> matched;
-  VerdictBatch batch;
-  while (verdict_queue_.Pop(&batch)) {
-    obs::GaugeSet(verdict_queue_depth_metric_,
-                  static_cast<double>(verdict_queue_.size()));
-    obs::CounterAdd(verdict_batches_metric_);
-    matched.clear();
-    uint64_t delivered = 0;
-    uint64_t duplicates = 0;
-    for (size_t i = 0; i < batch.comparisons.size(); ++i) {
-      const Comparison& c = batch.comparisons[i];
-      if (dedup && delivered_.TestAndAdd(c.x, c.y)) {
-        // A pair sharing blocks owned by two shards was matched by
-        // both; deliver the first verdict, drop the echo.
-        ++duplicates;
-        continue;
-      }
-      ++delivered;
-      const bool is_match = batch.is_match[i] != 0;
-      if (is_match) matched.emplace_back(c.x, c.y);
-      if (options_.on_verdict) options_.on_verdict(c.x, c.y, is_match);
+  uint64_t delivered = 0;
+  uint64_t duplicates = 0;
+  std::lock_guard<std::mutex> lock(delivery_mutex_);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Comparison& c = batch[i];
+    if (dedup && delivered_.TestAndAdd(c.x, c.y)) {
+      // A pair sharing blocks owned by two shards was matched by both;
+      // deliver the first verdict, drop the echo.
+      ++duplicates;
+      continue;
     }
-    comparisons_.fetch_add(delivered, std::memory_order_relaxed);
-    if (duplicates > 0) {
-      duplicates_suppressed_.fetch_add(duplicates, std::memory_order_relaxed);
-      obs::CounterAdd(duplicates_metric_, duplicates);
+    ++delivered;
+    if (verdicts[i].is_match) matched.emplace_back(c.x, c.y);
+    if (options_.on_verdict) {
+      options_.on_verdict(c.x, c.y, verdicts[i].is_match);
     }
-    if (!matched.empty()) {
-      matches_.fetch_add(matched.size(), std::memory_order_relaxed);
-      // Fold the whole batch into the serving index before the user
-      // callbacks, so a ClusterOf() issued from a callback already
-      // sees the new co-clusterings.
-      clusters_.AddMatches(matched.data(), matched.size());
-      for (const auto& pair : matched) on_match_(pair.first, pair.second);
-    }
-    latency_tracker_.OnVerdictDelivered();
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      verdicts_consumed_.fetch_add(1, std::memory_order_release);
-    }
-    drained_cv_.notify_all();
   }
+  comparisons_.fetch_add(delivered, std::memory_order_relaxed);
+  if (duplicates > 0) {
+    duplicates_suppressed_.fetch_add(duplicates, std::memory_order_relaxed);
+    obs::CounterAdd(duplicates_metric_, duplicates);
+  }
+  if (!matched.empty()) {
+    matches_.fetch_add(matched.size(), std::memory_order_relaxed);
+    // Fold the whole batch into the serving index before the user
+    // callbacks, so a ClusterOf() issued from a callback already sees
+    // the new co-clusterings.
+    clusters_.AddMatches(matched.data(), matched.size());
+    for (const auto& pair : matched) on_match_(pair.first, pair.second);
+  }
+  latency_tracker_.OnVerdictDelivered();
 }
 
 bool ShardedPipeline::DrainedLocked() const {
+  // A worker goes idle only after delivering its last batch, so "no
+  // queued microbatch, every shard idle" means every verdict is out.
   if (queued_microbatches_.load(std::memory_order_acquire) != 0) return false;
-  if (verdicts_pushed_.load(std::memory_order_acquire) !=
-      verdicts_consumed_.load(std::memory_order_acquire)) {
-    return false;
-  }
   for (const auto& shard : shards_) {
     if (!shard->idle) return false;
   }
@@ -549,7 +519,7 @@ void ShardedPipeline::EnableCheckpoints(const std::string& dir, size_t every,
 
 void ShardedPipeline::CheckpointLocked() {
   // Quiesce first: holding ingest_mutex_ keeps new work out while the
-  // shards and the combiner finish everything routed so far, so the
+  // shards finish and deliver everything routed so far, so the
   // snapshot is a consistent cut of the whole pipeline.
   QuiesceLocked();
   if (stop_.load(std::memory_order_acquire)) return;
@@ -624,8 +594,16 @@ bool ShardedPipeline::RestoreFromSnapshot(std::istream& snapshot,
       !serial::ReadU64(meta, &ingests) ||
       !serial::ReadU64(meta, &comparisons) ||
       !serial::ReadU64(meta, &matches) ||
-      !serial::ReadU64(meta, &duplicates)) {
-    set_error("section 'sharded.meta' failed to decode");
+      !serial::ReadU64(meta, &duplicates) ||
+      meta.peek() != std::istringstream::traits_type::eof()) {
+    set_error("section 'sharded.meta' has the wrong length");
+    return false;
+  }
+  // Every delivered match is a delivered comparison.
+  if (matches > comparisons) {
+    set_error("section 'sharded.meta' counts " + std::to_string(matches) +
+              " matches but only " + std::to_string(comparisons) +
+              " comparisons");
     return false;
   }
   if (shard_count != options_.shard_count) {

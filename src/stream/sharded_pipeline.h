@@ -1,11 +1,11 @@
-// Sharded worker/combiner ingest: the blocking-key space is
-// partitioned across N shard pipelines connected by bounded microbatch
-// queues, with a combiner stage merging the per-shard verdict streams
-// into one serving ClusterIndex and match callback. This is the
-// continuous-query scheduler/combiner split of streaming systems
-// applied to progressive ER, and it is what lets ingest scale past the
-// single worker of the one-mutex RealtimePipeline (which is now the
-// N = 1 instantiation of this class).
+// Sharded ingest: the blocking-key space is partitioned across N shard
+// pipelines fed by bounded microbatch queues, one worker thread per
+// shard, and each worker delivers its own verdicts into one serving
+// ClusterIndex and match callback through a serialized delivery step.
+// This is the scheduler/worker split of streaming systems applied to
+// progressive ER, and it is what lets ingest scale past the single
+// worker of the one-mutex RealtimePipeline (which is now the N = 1
+// instantiation of this class).
 //
 // Routing invariant: every block key (token) is owned by exactly one
 // shard -- Mix64(HashString(token)) % N -- and a block lives wholly in
@@ -16,7 +16,7 @@
 // exists in some shard at full size) and none is executed twice
 // per-shard (each shard's executed-filter dedups its own emissions).
 // A pair sharing tokens owned by different shards may be *matched*
-// redundantly, once per owning shard; the combiner's global
+// redundantly, once per owning shard; the delivery step's global
 // executed-pair filter suppresses the duplicate before it reaches the
 // cluster index or the user callback (shard.duplicates_suppressed
 // counts them).
@@ -32,20 +32,20 @@
 // Determinism contract: each shard's verdict substream is a
 // deterministic function of what it ingests between emissions, at any
 // match thread count (the per-shard engine is the deterministic
-// PierPipeline + ParallelMatchExecutor). The combiner merges
-// substreams in arrival order, so the *interleaving* across shards
-// varies run to run. With no block purging, the delivered verdict
-// *set* and the final clusters are identical for every shard count,
-// including N = 1 (canonical cluster ids make cluster answers
+// PierPipeline + ParallelMatchExecutor). Workers deliver substreams in
+// the order they take the delivery lock, so the *interleaving* across
+// shards varies run to run. With no block purging, the delivered
+// verdict *set* and the final clusters are identical for every shard
+// count, including N = 1 (canonical cluster ids make cluster answers
 // merge-order independent); tests/sharded_pipeline_test.cc checks this
-// for I-PES against the single-pipeline run. Under the default
-// configuration they are not: how many microbatches a shard ingests
-// between two EmitBatch calls, and the wall-clock findK(), depend on
-// thread timing, and with bounded queues and purging that changes
-// which pairs survive, so N > 1 runs deliver slightly different
-// verdict sets from run to run. N = 1 is deterministic.
+// for every strategy against the single-pipeline run. Under the
+// default configuration they are not: how many microbatches a shard
+// ingests between two EmitBatch calls, and the wall-clock findK(),
+// depend on thread timing, and with bounded queues and purging that
+// changes which pairs survive, so N > 1 runs deliver slightly
+// different verdict sets from run to run. N = 1 is deterministic.
 //
-// Threading model:
+// Threading model: one worker thread per shard, plus the producers'.
 //  * Producers call Ingest (thread-safe, serialized on the router
 //    mutex). The router tokenizes once into the global dictionary and
 //    the global chunked ProfileStore (the store matchers read,
@@ -57,12 +57,14 @@
 //    shard.backpressure_* metrics make it observable).
 //  * Each shard worker owns its PierPipeline outright -- no lock at
 //    all on shard state, the queue is the only synchronization. It
-//    alternates ingesting queued microbatches with emit->match->push
-//    of verdict batches (matching reads the *global* store).
-//  * The combiner thread dedups verdicts across shards, folds matches
-//    into the serving ClusterIndex (batched seqlock windows), and
-//    runs the user callback. Cluster queries stay lock-free
-//    seqlock-validated reads, never blocked by any of this.
+//    alternates ingesting queued microbatches with emit -> match ->
+//    deliver (matching reads the *global* store).
+//  * Delivery is serialized on one mutex: the cross-shard dedup, the
+//    delivered counts, the fold into the serving ClusterIndex
+//    (batched seqlock windows) and the user callbacks run for one
+//    batch at a time, on the worker that matched it. Cluster queries
+//    stay lock-free seqlock-validated reads, never blocked by any of
+//    this.
 
 #ifndef PIER_STREAM_SHARDED_PIPELINE_H_
 #define PIER_STREAM_SHARDED_PIPELINE_H_
@@ -108,16 +110,22 @@ struct ShardedOptions {
   // Bounded microbatch queue depth per shard; a full queue blocks
   // Ingest (backpressure).
   size_t queue_capacity = 64;
-  // Test seam: called from the combiner thread for every
-  // *deduplicated* executed comparison, match or not, in delivery
-  // order. The equivalence tests collect the verdict set here.
+  // Test seam: called for every *deduplicated* executed comparison,
+  // match or not, in delivery order, on the shard worker that matched
+  // it, one call at a time (see MatchCallback). The equivalence tests
+  // collect the verdict set here.
   std::function<void(ProfileId, ProfileId, bool)> on_verdict;
 };
 
 class ShardedPipeline {
  public:
-  // Called from the combiner thread for every pair the matcher
-  // classified as a duplicate (after cross-shard dedup).
+  // Called for every pair the matcher classified as a duplicate (after
+  // cross-shard dedup), in delivery order. It runs on the shard worker
+  // that matched the pair, inside the serialized delivery step: calls
+  // never overlap each other or on_verdict, and the serving index
+  // already holds the pair's batch. The callback must not call
+  // Ingest, Delete, Update, Drain or Stop (the worker would wait on
+  // itself); cluster queries are fine.
   using MatchCallback = std::function<void(ProfileId, ProfileId)>;
 
   // `matcher` must outlive this object.
@@ -166,15 +174,15 @@ class ShardedPipeline {
   void NotifyStreamEnd();
 
   // Blocks until every routed microbatch is ingested, every shard's
-  // prioritizer is empty, and the combiner has delivered every verdict
-  // -- i.e. cluster queries reflect all work routed so far. Returns
+  // prioritizer is empty, and every verdict is delivered -- i.e.
+  // cluster queries reflect all work routed so far. Returns
   // immediately after Stop().
   void Drain();
 
-  // Stops workers and the combiner and joins them; queued microbatches
-  // and undelivered verdicts are abandoned (same contract as
-  // destroying the pipeline mid-stream). Idempotent. Subsequent
-  // Ingest() calls are rejected.
+  // Stops the shard workers and joins them; queued microbatches are
+  // abandoned, and a worker inside a batch delivers it before it
+  // exits (same contract as destroying the pipeline mid-stream).
+  // Idempotent. Subsequent Ingest() calls are rejected.
   void Stop();
 
   // Best-effort durability: after every `every`-th Ingest the router
@@ -214,7 +222,7 @@ class ShardedPipeline {
   // Statistics (thread-safe, approximate while running).
   // comparisons_processed / matches_found count *delivered* (post
   // cross-shard dedup) comparisons and matches; duplicates_suppressed
-  // counts cross-shard redundant executions the combiner dropped.
+  // counts cross-shard redundant executions the delivery step dropped.
   uint64_t comparisons_processed() const { return comparisons_.load(); }
   uint64_t matches_found() const { return matches_.load(); }
   uint64_t duplicates_suppressed() const {
@@ -239,13 +247,6 @@ class ShardedPipeline {
     bool stream_end = false;
   };
 
-  // What a shard worker sends the combiner per executed batch.
-  struct VerdictBatch {
-    size_t shard = 0;
-    std::vector<Comparison> comparisons;
-    std::vector<uint8_t> is_match;
-  };
-
   struct Shard {
     std::unique_ptr<PierPipeline> pipeline;
     std::unique_ptr<ParallelMatchExecutor> executor;
@@ -260,7 +261,12 @@ class ShardedPipeline {
   };
 
   void ShardLoop(size_t shard_index);
-  void CombinerLoop();
+  // Hands one matched batch to the serving side under delivery_mutex_:
+  // per pair the cross-shard dedup (N > 1 only) and on_verdict, then
+  // the delivered counts, the serving index, on_match and the
+  // freshness tracker.
+  void Deliver(const std::vector<Comparison>& batch,
+               const std::vector<MatchVerdict>& verdicts);
   void IngestMicrobatch(Shard& shard, Microbatch& microbatch);
   // Marks the shard idle under state_mutex_ (waking Drain waiters) and
   // keeps the idle gauges coherent.
@@ -325,21 +331,22 @@ class ShardedPipeline {
   bool poisoned_ = false;
   std::unique_ptr<persist::CheckpointManager> checkpointer_;
 
-  // Combiner-owned cross-shard executed-pair filter (combiner thread
-  // only while running; router reads/writes it only when quiesced).
+  // Serializes Deliver across shard workers.
+  std::mutex delivery_mutex_;
+  // Cross-shard executed-pair filter (Deliver only while running,
+  // under delivery_mutex_; the router reads/writes it only when
+  // quiesced).
   PairFilter delivered_;
 
-  // The serving index: written by the router (TrackUpTo) and the
-  // combiner (AddMatches), queried lock-free from anywhere.
+  // The serving index: written by the router (TrackUpTo) and Deliver
+  // (AddMatches), queried lock-free from anywhere.
   serve::ClusterIndex clusters_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  ShardQueue<VerdictBatch> verdict_queue_;
-  std::thread combiner_;
 
   // Drain/idle protocol: any transition that can complete a Drain
-  // (shard going idle, microbatch consumed, verdict delivered)
-  // happens under state_mutex_ before notifying drained_cv_.
+  // (shard going idle, microbatch consumed) happens under state_mutex_
+  // before notifying drained_cv_.
   mutable std::mutex state_mutex_;
   std::condition_variable drained_cv_;
   std::atomic<bool> stop_{false};
@@ -347,8 +354,6 @@ class ShardedPipeline {
   std::mutex stop_mutex_;
   bool stopped_ = false;  // guarded by stop_mutex_
   std::atomic<uint64_t> queued_microbatches_{0};
-  std::atomic<uint64_t> verdicts_pushed_{0};
-  std::atomic<uint64_t> verdicts_consumed_{0};
 
   std::atomic<uint64_t> comparisons_{0};
   std::atomic<uint64_t> matches_{0};
@@ -369,8 +374,6 @@ class ShardedPipeline {
   obs::Counter* microbatches_metric_ = nullptr;
   obs::Counter* backpressure_waits_metric_ = nullptr;
   obs::Histogram* backpressure_wait_ns_metric_ = nullptr;
-  obs::Gauge* verdict_queue_depth_metric_ = nullptr;
-  obs::Counter* verdict_batches_metric_ = nullptr;
   obs::Counter* duplicates_metric_ = nullptr;
   IngestLatencyTracker latency_tracker_;
 };

@@ -802,8 +802,8 @@ persist::SnapshotReader ReadCheckpoint(const std::string& path) {
 }
 
 // Snapshot -> restore -> snapshot is byte-identical for a sharded
-// pipeline: router sections (dictionary, profiles, the combiner's pair
-// filter, clusters) and every shard's sections. An empty Delete
+// pipeline: router sections (dictionary, profiles, the delivery step's
+// pair filter, clusters) and every shard's sections. An empty Delete
 // checkpoints a quiescent pipeline without routing any work, so the
 // second snapshot of each side holds the same state. That includes
 // each shard's `findk`: a restore wakes no shard worker, so findK()

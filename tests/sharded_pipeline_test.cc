@@ -1,9 +1,10 @@
-// Tests for the sharded worker/combiner ingest path: the routing
-// invariant (every block key owned by exactly one shard) must make the
-// delivered verdict set and the final clusters identical for every
-// shard count -- including the N = 1 case RealtimePipeline wraps --
-// and the bounded queues, multi-producer ingest, and checkpoint/resume
-// must hold up under concurrency (this binary runs under TSan in CI).
+// Tests for the sharded ingest path: the routing invariant (every block
+// key owned by exactly one shard) must make the delivered verdict set
+// and the final clusters identical for every shard count and strategy
+// -- including the N = 1 case RealtimePipeline wraps -- and the bounded
+// queues, the serialized delivery step, multi-producer ingest, and
+// checkpoint/resume must hold up under concurrency (this binary runs
+// under TSan in CI).
 
 #include <algorithm>
 #include <array>
@@ -16,6 +17,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -30,6 +32,8 @@
 #include "similarity/parallel_executor.h"
 #include "stream/shard_queue.h"
 #include "stream/sharded_pipeline.h"
+#include "strategy_test_name.h"
+#include "util/serial.h"
 
 namespace pier {
 namespace {
@@ -163,10 +167,10 @@ TEST(ShardQueueTest, CloseDrainPropertyUnderConcurrency) {
 // Equivalence requires a deterministic executed set: no block purging
 // (purge timing depends on ingest cadence, which differs per shard
 // count).
-PierOptions EquivalenceOptions(DatasetKind kind) {
+PierOptions EquivalenceOptions(DatasetKind kind, PierStrategy strategy) {
   PierOptions options;
   options.kind = kind;
-  options.strategy = PierStrategy::kIPes;
+  options.strategy = strategy;
   options.blocking.max_block_size = 0;
   return options;
 }
@@ -176,15 +180,15 @@ struct VerdictLog {
   std::set<uint64_t> executed;
   std::set<uint64_t> matched;
   uint64_t delivered = 0;
-  // Cross-shard echoes the combiner dropped (sharded runs only).
+  // Cross-shard echoes the delivery step dropped (sharded runs only).
   uint64_t suppressed = 0;
 };
 
 // The single-engine reference: one PierPipeline driven to exhaustion,
 // the ground truth the sharded runs must reproduce exactly.
 void RunReference(const Dataset& d, size_t increments, const Matcher& matcher,
-                  VerdictLog* log) {
-  PierPipeline pipeline(EquivalenceOptions(d.kind));
+                  PierStrategy strategy, VerdictLog* log) {
+  PierPipeline pipeline(EquivalenceOptions(d.kind, strategy));
   ParallelMatchExecutor executor(&matcher, 1, nullptr);
   for (const auto& inc : SplitIntoIncrements(d, increments)) {
     std::vector<EntityProfile> profiles(
@@ -207,11 +211,11 @@ void RunReference(const Dataset& d, size_t increments, const Matcher& matcher,
 }
 
 void RunSharded(const Dataset& d, size_t increments, const Matcher& matcher,
-                size_t shard_count,
+                PierStrategy strategy, size_t shard_count,
                 std::map<ProfileId, ProfileId>* final_clusters,
                 VerdictLog* log) {
   ShardedOptions options;
-  options.pipeline = EquivalenceOptions(d.kind);
+  options.pipeline = EquivalenceOptions(d.kind, strategy);
   options.shard_count = shard_count;
   options.queue_capacity = 4;  // small: exercises backpressure
   options.on_verdict = [log](ProfileId a, ProfileId b, bool) {
@@ -241,7 +245,10 @@ void RunSharded(const Dataset& d, size_t increments, const Matcher& matcher,
   EXPECT_EQ(pipeline.clusters().universe_size(), d.profiles.size());
 }
 
-TEST(ShardedPipelineTest, EquivalentToSinglePipelineCleanClean) {
+// Every registered strategy through the equivalence and resume suites.
+class ShardedStrategyTest : public ::testing::TestWithParam<PierStrategy> {};
+
+TEST_P(ShardedStrategyTest, EquivalentToSinglePipelineCleanClean) {
   BibliographicOptions data_options;
   data_options.source0_count = 90;
   data_options.source1_count = 80;
@@ -249,7 +256,7 @@ TEST(ShardedPipelineTest, EquivalentToSinglePipelineCleanClean) {
   const JaccardMatcher matcher(0.35);
 
   VerdictLog reference;
-  RunReference(d, 9, matcher, &reference);
+  RunReference(d, 9, matcher, GetParam(), &reference);
   ASSERT_FALSE(reference.executed.empty());
   ASSERT_FALSE(reference.matched.empty());
 
@@ -258,7 +265,7 @@ TEST(ShardedPipelineTest, EquivalentToSinglePipelineCleanClean) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     std::map<ProfileId, ProfileId> clusters;
     VerdictLog log;
-    RunSharded(d, 9, matcher, shards, &clusters, &log);
+    RunSharded(d, 9, matcher, GetParam(), shards, &clusters, &log);
     // Same executed comparison set, each delivered exactly once, and
     // the same match set -- the routing invariant at work.
     EXPECT_EQ(log.executed, reference.executed);
@@ -272,14 +279,14 @@ TEST(ShardedPipelineTest, EquivalentToSinglePipelineCleanClean) {
   }
 }
 
-TEST(ShardedPipelineTest, EquivalentToSinglePipelineDirty) {
+TEST_P(ShardedStrategyTest, EquivalentToSinglePipelineDirty) {
   CensusOptions data_options;
   data_options.num_records = 260;
   const Dataset d = GenerateCensus(data_options);
   const JaccardMatcher matcher(0.4);
 
   VerdictLog reference;
-  RunReference(d, 13, matcher, &reference);
+  RunReference(d, 13, matcher, GetParam(), &reference);
   ASSERT_FALSE(reference.executed.empty());
 
   std::map<ProfileId, ProfileId> one_shard_clusters;
@@ -287,7 +294,7 @@ TEST(ShardedPipelineTest, EquivalentToSinglePipelineDirty) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     std::map<ProfileId, ProfileId> clusters;
     VerdictLog log;
-    RunSharded(d, 13, matcher, shards, &clusters, &log);
+    RunSharded(d, 13, matcher, GetParam(), shards, &clusters, &log);
     EXPECT_EQ(log.executed, reference.executed);
     EXPECT_EQ(log.delivered, log.executed.size());
     EXPECT_EQ(log.matched, reference.matched);
@@ -296,7 +303,7 @@ TEST(ShardedPipelineTest, EquivalentToSinglePipelineDirty) {
     } else {
       EXPECT_EQ(clusters, one_shard_clusters);
       // A pair whose shared tokens have different owners is generated
-      // by each owning shard: the combiner filter drops the echoes, so
+      // by each owning shard: the delivery filter drops the echoes, so
       // each pair is still delivered once (above).
       EXPECT_GT(log.suppressed, 0u);
     }
@@ -368,6 +375,58 @@ TEST(ShardedPipelineTest, MultiProducerIngestWithConcurrentQueries) {
   for (ProfileId id = 0; id < d.profiles.size(); ++id) {
     EXPECT_LE(pipeline.ClusterIdOf(id), id);
   }
+}
+
+// The delivery contract at N > 1: four shard workers, each matching on
+// two threads, deliver one batch at a time -- on_verdict and on_match
+// never overlap -- and every pair a shard emitted is either delivered
+// once or counted as a cross-shard echo.
+TEST(ShardedPipelineTest, DeliveryIsSerializedAndAccountsForEveryEmittedPair) {
+  obs::MetricsRegistry registry;
+  CensusOptions data_options;
+  data_options.num_records = 400;
+  const Dataset d = GenerateCensus(data_options);
+  const JaccardMatcher matcher(0.4);
+
+  std::atomic<int> in_flight{0};
+  std::atomic<uint64_t> overlaps{0};
+  std::atomic<uint64_t> verdicts{0};
+  std::atomic<uint64_t> matches{0};
+  auto enter = [&] {
+    if (in_flight.fetch_add(1) != 0) ++overlaps;
+    std::this_thread::yield();  // widen the window a second caller needs
+  };
+  auto leave = [&] { in_flight.fetch_sub(1); };
+  ShardedOptions options;
+  options.pipeline.kind = d.kind;
+  options.pipeline.execution_threads = 2;
+  options.pipeline.metrics = &registry;
+  options.shard_count = 4;
+  options.on_verdict = [&](ProfileId, ProfileId, bool) {
+    enter();
+    ++verdicts;
+    leave();
+  };
+  ShardedPipeline pipeline(options, &matcher, [&](ProfileId, ProfileId) {
+    enter();
+    ++matches;
+    leave();
+  });
+  for (const auto& inc : SplitIntoIncrements(d, 10)) {
+    ASSERT_TRUE(pipeline.Ingest(std::vector<EntityProfile>(
+        d.profiles.begin() + static_cast<ptrdiff_t>(inc.begin),
+        d.profiles.begin() + static_cast<ptrdiff_t>(inc.end))));
+  }
+  pipeline.NotifyStreamEnd();
+  pipeline.Drain();
+
+  EXPECT_EQ(overlaps.load(), 0u);
+  EXPECT_GT(verdicts.load(), 0u);
+  EXPECT_EQ(verdicts.load(), pipeline.comparisons_processed());
+  EXPECT_EQ(matches.load(), pipeline.matches_found());
+  // pipeline.comparisons_emitted adds up across the shard engines.
+  EXPECT_EQ(pipeline.comparisons_processed() + pipeline.duplicates_suppressed(),
+            registry.GetCounter("pipeline.comparisons_emitted")->Value());
 }
 
 TEST(ShardedPipelineTest, DestructionWhileBusyIsSafe) {
@@ -512,6 +571,98 @@ TEST(ShardedPipelineTest, RestoreShardCountMismatchLeavesPipelineUsable) {
   std::filesystem::remove_all(dir);
 }
 
+// `reader`'s snapshot re-sealed (fresh CRCs) with section `name`'s
+// payload replaced by `payload`.
+std::string ResealWith(const persist::SnapshotReader& reader,
+                       const std::string& name, const std::string& payload) {
+  persist::SnapshotBuilder builder;
+  for (const std::string& section : reader.section_names()) {
+    builder.AddSection(section)
+        << (section == name ? payload : *reader.Section(section));
+  }
+  return builder.Bytes();
+}
+
+// sharded.meta is checked for meaning before anything is restored: a
+// trailing byte, or more matches than comparisons, is rejected with a
+// diagnostic and leaves the pipeline usable.
+TEST(ShardedPipelineTest, RestoreRejectsMalformedShardedMeta) {
+  const JaccardMatcher matcher(0.5);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "pier_shard_meta_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::string snapshot_path;
+  ShardedOptions options;
+  options.shard_count = 2;
+  {
+    ShardedPipeline pipeline(options, &matcher, [](ProfileId, ProfileId) {});
+    pipeline.EnableCheckpoints(dir, /*every=*/1, /*keep=*/1);
+    EXPECT_TRUE(pipeline.Ingest({EntityProfile(0, 0, {{"n", "alpha beta"}}),
+                                 EntityProfile(1, 0, {{"n", "alpha beta"}})}));
+    pipeline.Drain();
+    auto latest = persist::CheckpointManager::FindLatest(dir);
+    ASSERT_TRUE(latest.has_value());
+    snapshot_path = *latest;
+  }
+  persist::SnapshotReader reader;
+  {
+    std::ifstream in(snapshot_path, std::ios::binary);
+    std::string error;
+    ASSERT_TRUE(reader.Parse(in, &error)) << error;
+  }
+  std::filesystem::remove_all(dir);
+  const std::string& meta = *reader.Section("sharded.meta");
+  // Layout: shard count (u32), then ingests, comparisons, matches and
+  // duplicates suppressed (u64 each).
+  std::istringstream fields(meta);
+  uint32_t shards = 0;
+  uint64_t ingests = 0;
+  uint64_t comparisons = 0;
+  uint64_t matches = 0;
+  uint64_t duplicates = 0;
+  ASSERT_TRUE(serial::ReadU32(fields, &shards) &&
+              serial::ReadU64(fields, &ingests) &&
+              serial::ReadU64(fields, &comparisons) &&
+              serial::ReadU64(fields, &matches) &&
+              serial::ReadU64(fields, &duplicates));
+  std::ostringstream inflated;
+  serial::WriteU32(inflated, shards);
+  serial::WriteU64(inflated, ingests);
+  serial::WriteU64(inflated, comparisons);
+  serial::WriteU64(inflated, comparisons + 1);
+  serial::WriteU64(inflated, duplicates);
+
+  struct Case {
+    const char* what;
+    std::string payload;
+    const char* diagnostic;
+  };
+  const Case kCases[] = {
+      {"trailing byte", meta + '\0', "wrong length"},
+      {"matches > comparisons", inflated.str(), "matches but only"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.what);
+    ShardedPipeline pipeline(options, &matcher, [](ProfileId, ProfileId) {});
+    std::istringstream in(ResealWith(reader, "sharded.meta", c.payload));
+    std::string error;
+    EXPECT_FALSE(pipeline.RestoreFromSnapshot(in, &error));
+    EXPECT_NE(error.find("sharded.meta"), std::string::npos) << error;
+    EXPECT_NE(error.find(c.diagnostic), std::string::npos) << error;
+    EXPECT_EQ(error.find("poisoned"), std::string::npos) << error;
+    // Rejected before any mutation: still usable.
+    EXPECT_TRUE(pipeline.Ingest({EntityProfile(0, 0, {{"n", "alpha beta"}})}));
+    pipeline.Drain();
+  }
+  // The unmodified section, re-sealed the same way, restores.
+  ShardedPipeline pipeline(options, &matcher, [](ProfileId, ProfileId) {});
+  std::istringstream in(ResealWith(reader, "sharded.meta", meta));
+  std::string error;
+  EXPECT_TRUE(pipeline.RestoreFromSnapshot(in, &error)) << error;
+  EXPECT_EQ(pipeline.comparisons_processed(), comparisons);
+}
+
 TEST(ShardedPipelineTest, FailedMidRestorePoisonsPipeline) {
   const JaccardMatcher matcher(0.5);
   const std::string dir =
@@ -550,7 +701,7 @@ TEST(ShardedPipelineTest, FailedMidRestorePoisonsPipeline) {
 // ---------------------------------------------------------------------------
 // Checkpoint / resume equivalence
 
-TEST(ShardedPipelineTest, CheckpointAndResumeMatchesUninterruptedRun) {
+TEST_P(ShardedStrategyTest, CheckpointAndResumeMatchesUninterruptedRun) {
   BibliographicOptions data_options;
   data_options.source0_count = 70;
   data_options.source1_count = 60;
@@ -562,11 +713,14 @@ TEST(ShardedPipelineTest, CheckpointAndResumeMatchesUninterruptedRun) {
   // Uninterrupted reference run.
   std::map<ProfileId, ProfileId> expected_clusters;
   VerdictLog unused;
-  RunSharded(d, kIncrements, matcher, kShards, &expected_clusters, &unused);
+  RunSharded(d, kIncrements, matcher, GetParam(), kShards, &expected_clusters,
+             &unused);
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "pier_shard_resume_test")
-          .string();
+  // One directory per strategy: ctest runs the instances in parallel.
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           (std::string("pier_shard_resume_test_") +
+                            ToString(GetParam())))
+                              .string();
   std::filesystem::remove_all(dir);
   const auto increments = SplitIntoIncrements(d, kIncrements);
   auto increment_profiles = [&](size_t chunk) {
@@ -576,7 +730,7 @@ TEST(ShardedPipelineTest, CheckpointAndResumeMatchesUninterruptedRun) {
   };
   auto make_options = [&] {
     ShardedOptions options;
-    options.pipeline = EquivalenceOptions(d.kind);
+    options.pipeline = EquivalenceOptions(d.kind, GetParam());
     options.shard_count = kShards;
     return options;
   };
@@ -616,6 +770,10 @@ TEST(ShardedPipelineTest, CheckpointAndResumeMatchesUninterruptedRun) {
   std::filesystem::remove_all(dir);
 }
 
+INSTANTIATE_TEST_SUITE_P(AllStrategies, ShardedStrategyTest,
+                         ::testing::ValuesIn(AllStrategies()),
+                         StrategyTestName);
+
 // ---------------------------------------------------------------------------
 // Metrics
 
@@ -643,7 +801,7 @@ TEST(ShardedPipelineTest, ExportsShardAndFreshnessMetrics) {
     pipeline.Drain();
     EXPECT_EQ(registry.GetCounter("realtime.ingests")->Value(), 12u);
     EXPECT_GT(registry.GetCounter("shard.microbatches")->Value(), 0u);
-    EXPECT_GT(registry.GetCounter("shard.verdict_batches")->Value(), 0u);
+    EXPECT_GT(registry.GetCounter("realtime.batches")->Value(), 0u);
     // Quiescent after Drain: nothing queued, every ingest closed out.
     // Ingests closed out by a verdict delivery land in the freshness
     // histogram; ingests that never produced a verdict are closed out

@@ -48,11 +48,14 @@
 // given -- the cluster-level recall of the served index.
 //
 // --ingest-shards=N partitions the blocking space across N shard
-// pipelines behind bounded microbatch queues with a merging combiner
-// (stream/sharded_pipeline.h): same verdicts and clusters, N-way
-// ingest parallelism. Applies to serving mode and to resolution mode;
-// the simulator-based evaluation mode is single-engine by design
-// (virtual time needs one deterministic event loop).
+// pipelines behind bounded microbatch queues, one worker thread each,
+// delivering into one cluster index (stream/sharded_pipeline.h): N-way
+// ingest parallelism. N=1 is deterministic; at N>1 the default options
+// (block purging, wall-clock findK) let the verdicts and clusters vary
+// slightly from run to run (DESIGN.md §8). Applies to serving mode
+// and to resolution mode; the simulator-based evaluation mode is
+// single-engine by design (virtual time needs one deterministic event
+// loop).
 //
 // --mutation-rate=F turns the replay into a mutable stream: after each
 // increment, roughly F mutations per ingested profile are synthesized
