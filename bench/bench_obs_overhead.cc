@@ -6,8 +6,12 @@
 // counter/histogram/timer live), and fails if instrumentation costs
 // more than the allowed fraction.
 //
-// Reps for the two variants are interleaved and the minimum per
-// variant is compared, which suppresses thermal / scheduler noise.
+// Each repetition runs both variants back to back, in alternating
+// order (the uninstrumented one first on even reps, second on odd
+// ones), and yields one paired ratio enabled/disabled; the gate reads
+// the median ratio. Pairing cancels drift between reps (a slow vCPU,
+// a neighbour's burst) and alternation cancels any advantage of going
+// first or second.
 // Exit status: 0 when within budget, 1 when over (the CI bench-smoke
 // job gates on this).
 //
@@ -78,7 +82,7 @@ int main(int argc, char** argv) {
   // this gate.
   const size_t batch_size = 64;
   const JaccardMatcher matcher(0.35);
-  const size_t reps = 7;
+  const size_t reps = 9;
 
   obs::MetricsRegistry registry;
   // Warm-up both variants (allocator, caches, token dictionary costs).
@@ -87,23 +91,37 @@ int main(int argc, char** argv) {
   sink += RunWorkload(dataset, matcher, &registry, batch_size,
                       max_comparisons);
 
-  double best_disabled = 1e300;
-  double best_enabled = 1e300;
-  for (size_t r = 0; r < reps; ++r) {
+  const auto timed = [&](obs::MetricsRegistry* r) {
     Stopwatch sw;
-    sink += RunWorkload(dataset, matcher, nullptr, batch_size,
-                        max_comparisons);
-    best_disabled = std::min(best_disabled, sw.ElapsedSeconds());
-    sw.Restart();
-    sink += RunWorkload(dataset, matcher, &registry, batch_size,
-                        max_comparisons);
-    best_enabled = std::min(best_enabled, sw.ElapsedSeconds());
+    sink += RunWorkload(dataset, matcher, r, batch_size, max_comparisons);
+    return sw.ElapsedSeconds();
+  };
+  std::vector<double> disabled;
+  std::vector<double> enabled;
+  std::vector<double> ratios;
+  for (size_t r = 0; r < reps; ++r) {
+    double off = 0.0;
+    double on = 0.0;
+    if (r % 2 == 0) {
+      off = timed(nullptr);
+      on = timed(&registry);
+    } else {
+      on = timed(&registry);
+      off = timed(nullptr);
+    }
+    disabled.push_back(off);
+    enabled.push_back(on);
+    ratios.push_back(on / off);
   }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
 
-  const double overhead = best_enabled / best_disabled - 1.0;
-  std::printf("variant,best_seconds\n");
-  std::printf("metrics_disabled,%.6f\n", best_disabled);
-  std::printf("metrics_enabled,%.6f\n", best_enabled);
+  const double overhead = median(ratios) - 1.0;
+  std::printf("variant,median_seconds\n");
+  std::printf("metrics_disabled,%.6f\n", median(disabled));
+  std::printf("metrics_enabled,%.6f\n", median(enabled));
   std::printf("overhead_fraction,%.4f\n", overhead);
   std::fprintf(stderr, "allowed %.2f%%, measured %.2f%% (sink %llu)\n",
                allowed * 100.0, overhead * 100.0,

@@ -21,12 +21,12 @@ WorkStats IBase::OnIncrement(std::vector<EntityProfile> profiles) {
   for (const ProfileId id : delta) {
     const EntityProfile& p = profiles_.Get(id);
     GhostBlocks(blocks_, p, beta_, &retained_);
-    std::vector<Comparison> candidates = GenerateWeightedComparisons(
-        ctx, p, retained_, /*only_older_neighbors=*/true, /*visits=*/nullptr,
-        &scratch_);
-    stats.comparisons_generated += candidates.size();
-    candidates = IWnpPrune(std::move(candidates));
-    pending_.insert(pending_.end(), candidates.begin(), candidates.end());
+    // Appended to pending_ and pruned there, one profile at a time.
+    const size_t begin = pending_.size();
+    AppendWeightedComparisons(ctx, p, retained_, /*only_older_neighbors=*/true,
+                              /*visits=*/nullptr, scratch_, &pending_);
+    stats.comparisons_generated += pending_.size() - begin;
+    IWnpPrune(&pending_, begin);
   }
   return stats;
 }

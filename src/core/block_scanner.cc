@@ -50,6 +50,7 @@ std::vector<Comparison> BlockScanner::NextBlock(WorkStats* stats) {
     if (scanned_size_.size() <= token) scanned_size_.resize(token + 1, 0);
     if (bsize <= scanned_size_[token]) continue;  // stale order entry
     scanned_size_[token] = bsize;
+    scanned_any_ = true;
 
     out.reserve(static_cast<size_t>(b.NumComparisons(blocks.kind())));
     if (blocks.kind() == DatasetKind::kCleanClean) {
@@ -106,6 +107,8 @@ bool BlockScanner::Restore(std::istream& in) {
       !serial::ReadBool(in, &full_rescan)) {
     return false;
   }
+  scanned_any_ = std::any_of(scanned_size.begin(), scanned_size.end(),
+                             [](uint32_t size) { return size > 0; });
   scanned_size_ = std::move(scanned_size);
   order_ = std::move(order);
   exhausted_ = exhausted;

@@ -38,6 +38,12 @@ class BlockScanner {
   // True when the last rebuild found no block due for scanning.
   bool Exhausted() const { return exhausted_; }
 
+  // True once NextBlock has scanned a block. Until then every pair the
+  // owning strategy emits came from candidate generation, once
+  // (IncrementalPrioritizer::EmitsOnlyNewPairs); a rescan may offer a
+  // pair again.
+  bool ScannedAny() const { return scanned_any_; }
+
   // While the stream is live, a block is only rescanned after
   // meaningful growth (>= 2 members and >= 12.5%), which keeps rescan
   // work near-linear. Once the stream has ended, call this to lift the
@@ -61,6 +67,8 @@ class BlockScanner {
   std::vector<std::pair<uint32_t, TokenId>> order_;
   bool exhausted_ = false;
   bool full_rescan_ = false;
+  // Some scanned_size_ entry is nonzero (restored from them).
+  bool scanned_any_ = false;
 };
 
 }  // namespace pier

@@ -20,31 +20,33 @@ WorkStats IPcs::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   WorkStats stats;
   const WeightingContext wctx{ctx_.blocks, ctx_.profiles, options_.scheme};
 
-  std::vector<Comparison> cmp_list;
+  candidates_.clear();
   for (const ProfileId id : delta) {
     const EntityProfile& p = ctx_.profiles->Get(id);
     // Algorithm 2, lines 4-5: retained blocks after block ghosting.
     GhostBlocks(*ctx_.blocks, p, options_.beta, &retained_);
     // Lines 6-7: candidate generation (only_older_neighbors makes each
-    // pair unique per increment); line 8: I-WNP comparison cleaning.
-    std::vector<Comparison> candidates = GenerateWeightedComparisons(
-        wctx, p, retained_, /*only_older_neighbors=*/true, /*visits=*/nullptr,
-        &scratch_);
-    stats.comparisons_generated += candidates.size();
-    candidates = IWnpPrune(std::move(candidates));
-    cmp_list.insert(cmp_list.end(), candidates.begin(), candidates.end());
+    // pair unique per increment), appended to one reused buffer; line
+    // 8: I-WNP comparison cleaning of the profile's tail.
+    const size_t begin = candidates_.size();
+    AppendWeightedComparisons(wctx, p, retained_, /*only_older_neighbors=*/true,
+                              /*visits=*/nullptr, scratch_, &candidates_);
+    stats.comparisons_generated += candidates_.size() - begin;
+    IWnpPrune(&candidates_, begin);
+  }
+  // Lines 12-13: fold into the global bounded index.
+  for (const Comparison& c : candidates_) {
+    index_.PushBounded(c);
+    ++stats.index_ops;
   }
 
   // Lines 10-11: on an idle tick with a drained index, fall back to
   // scanning blocks smallest-first.
   if (delta.empty() && index_.empty()) {
-    cmp_list = scanner_.NextBlock(&stats);
-  }
-
-  // Lines 12-13: fold into the global bounded index.
-  for (auto& c : cmp_list) {
-    index_.PushBounded(c);
-    ++stats.index_ops;
+    for (const Comparison& c : scanner_.NextBlock(&stats)) {
+      index_.PushBounded(c);
+      ++stats.index_ops;
+    }
   }
   return stats;
 }

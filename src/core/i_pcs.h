@@ -27,6 +27,7 @@ class IPcs : public IncrementalPrioritizer {
   bool Empty() const override { return index_.empty(); }
   void OnStreamEnd() override { scanner_.AllowFullRescan(); }
   void OnRetract(ProfileId id) override;
+  bool EmitsOnlyNewPairs() const override { return !scanner_.ScannedAny(); }
   void Snapshot(std::ostream& out) const override;
   bool Restore(std::istream& in) override;
 
@@ -37,6 +38,7 @@ class IPcs : public IncrementalPrioritizer {
   BlockScanner scanner_;
   WeightingScratch scratch_;  // reused across increments
   std::vector<TokenId> retained_;  // reused ghosting output buffer
+  std::vector<Comparison> candidates_;  // reused I-WNP buffer
 };
 
 }  // namespace pier

@@ -23,25 +23,23 @@ WorkStats IPes::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   const WeightingContext wctx{ctx_.blocks, ctx_.profiles, options_.scheme};
 
   // Algorithm 2 lines 1-11 (shared with I-PCS): ghosting, candidate
-  // generation, I-WNP cleaning; block-scanner fallback on idle ticks.
-  std::vector<Comparison> cmp_list;
+  // generation and I-WNP cleaning, each profile's candidates appended
+  // to one reused buffer and pruned there; block-scanner fallback on
+  // idle ticks.
+  candidates_.clear();
   for (const ProfileId id : delta) {
     const EntityProfile& p = ctx_.profiles->Get(id);
     GhostBlocks(*ctx_.blocks, p, options_.beta, &retained_);
-    std::vector<Comparison> candidates = GenerateWeightedComparisons(
-        wctx, p, retained_, /*only_older_neighbors=*/true, /*visits=*/nullptr,
-        &scratch_);
-    stats.comparisons_generated += candidates.size();
-    candidates = IWnpPrune(std::move(candidates));
-    cmp_list.insert(cmp_list.end(), candidates.begin(), candidates.end());
+    const size_t begin = candidates_.size();
+    AppendWeightedComparisons(wctx, p, retained_, /*only_older_neighbors=*/true,
+                              /*visits=*/nullptr, scratch_, &candidates_);
+    stats.comparisons_generated += candidates_.size() - begin;
+    IWnpPrune(&candidates_, begin);
   }
-  if (delta.empty() && Empty()) {
-    cmp_list = scanner_.NextBlock(&stats);
-  }
-
   // Algorithm 4, lines 1-14.
-  for (const auto& c : cmp_list) {
-    Insert(c, &stats);
+  for (const Comparison& c : candidates_) Insert(c, &stats);
+  if (delta.empty() && Empty()) {
+    for (const Comparison& c : scanner_.NextBlock(&stats)) Insert(c, &stats);
   }
   return stats;
 }
@@ -106,13 +104,13 @@ void IPes::Insert(const Comparison& c, WorkStats* stats) {
   EntityEntry* ex = FindEntity(c.x);
   if (ex == nullptr || ex->pq.empty() || ex->pq.PeekMax().weight < w) {
     PushToEntry(ex != nullptr ? *ex : EnsureEntity(c.x), c);
-    entity_queue_.PushBounded(EntityRef{c.x, w});
+    entity_queue_.Push(EntityRef{c.x, w});
     return;
   }
   EntityEntry* ey = FindEntity(c.y);
   if (ey == nullptr || ey->pq.empty() || ey->pq.PeekMax().weight < w) {
     PushToEntry(ey != nullptr ? *ey : EnsureEntity(c.y), c);
-    entity_queue_.PushBounded(EntityRef{c.y, w});
+    entity_queue_.Push(EntityRef{c.y, w});
     return;
   }
 
@@ -141,10 +139,12 @@ void IPes::Insert(const Comparison& c, WorkStats* stats) {
 
 void IPes::RefillEntityQueue() {
   // Iteration order differs from the old hash map, but the EntityQueue
-  // orders refs by (weight, id) -- a strict total order -- so the
-  // bounded queue's content (top-K of the pushed multiset) and every
-  // subsequent dequeue are insertion-order independent.
+  // orders refs by (weight, id) -- a strict total order -- so its
+  // content (top-K of the refs) and every subsequent dequeue are
+  // insertion-order independent.
   ++num_refills_;
+  std::vector<EntityRef> refs;
+  refs.reserve(tracked_.size());
   for (size_t i = 0; i < tracked_.size();) {
     if (tracked_[i].pq.empty()) {
       // Drained entity: drop its entry to bound memory on long
@@ -153,10 +153,10 @@ void IPes::RefillEntityQueue() {
       EraseEntity(tracked_ids_[i]);
       continue;
     }
-    entity_queue_.PushBounded(
-        EntityRef{tracked_ids_[i], tracked_[i].pq.PeekMax().weight});
+    refs.push_back(EntityRef{tracked_ids_[i], tracked_[i].pq.PeekMax().weight});
     ++i;
   }
+  entity_queue_.Assign(std::move(refs));
 }
 
 bool IPes::Dequeue(Comparison* out) {
@@ -221,10 +221,11 @@ void IPes::OnRetract(ProfileId id) {
 
 void IPes::Snapshot(std::ostream& out) const {
   // Entity entries sorted by id for canonical bytes; each per-entity
-  // queue's heap vector is stored verbatim. The EntityQueue itself
-  // ranks by (weight, id) under a strict total order, so sparse-set
-  // iteration order never influences dequeue results -- sorting here
-  // is purely for byte-identical re-snapshots.
+  // queue's heap vector is stored verbatim. The EntityQueue ranks by
+  // (weight, id) under a strict total order, so sparse-set iteration
+  // order never influences dequeue results -- sorting here is purely
+  // for byte-identical re-snapshots. The EntityQueue is written in pop
+  // order, trimmed to its capacity.
   std::vector<ProfileId> ids = tracked_ids_;
   std::sort(ids.begin(), ids.end());
   serial::WriteU64(out, ids.size());
@@ -240,7 +241,7 @@ void IPes::Snapshot(std::ostream& out) const {
     serial::WriteU32(o, r.id);
     serial::WriteF64(o, r.weight);
   };
-  serial::WriteVec(out, entity_queue_.data(), write_ref);
+  serial::WriteVec(out, entity_queue_.Sorted(), write_ref);
   serial::WriteVec(out, low_queue_.data(), SnapshotComparison);
 
   serial::WriteF64(out, total_);
@@ -276,6 +277,8 @@ bool IPes::Restore(std::istream& in) {
     tracked.emplace_back(options_.per_entity_capacity);
     tracked.back().inserted_total = inserted_total;
     tracked.back().inserted_count = inserted_count;
+    // Drained entities are erased the moment they drain.
+    if (pq_data.empty()) return false;
     if (!tracked.back().pq.RestoreData(std::move(pq_data))) return false;
   }
 
@@ -294,7 +297,10 @@ bool IPes::Restore(std::istream& in) {
       !serial::ReadU64(in, &nonempty) || !serial::ReadU64(in, &refills)) {
     return false;
   }
-  if (!entity_queue_.RestoreData(std::move(eq_data))) return false;
+  // Every tracked entity holds comparisons, so the count Empty() reads
+  // is the number of entries; a larger one would make Dequeue spin.
+  if (nonempty != tracked.size()) return false;
+  if (!entity_queue_.RestoreSorted(std::move(eq_data))) return false;
   if (!low_queue_.RestoreData(std::move(lq_data))) return false;
   if (!scanner_.Restore(in)) return false;
 

@@ -15,6 +15,13 @@
 // making the strategy robust to a weighting scheme that misranks
 // individual comparisons (the I-PCS failure mode with expensive
 // matchers).
+//
+// EntityQueue layout (util/sorted_run_queue.h): refs sorted by
+// (weight, id) descending and popped from the front, plus a small heap
+// of refs pushed since the last merge; entity_queue_capacity is
+// applied by trimming the lowest refs before each pop. A refill sorts
+// every tracked entity's ref once. Snapshots store the refs in pop
+// order.
 
 #ifndef PIER_CORE_I_PES_H_
 #define PIER_CORE_I_PES_H_
@@ -27,6 +34,7 @@
 #include "core/prioritizer.h"
 #include "model/comparison.h"
 #include "util/bounded_priority_queue.h"
+#include "util/sorted_run_queue.h"
 
 namespace pier {
 
@@ -41,6 +49,7 @@ class IPes : public IncrementalPrioritizer {
   }
   void OnStreamEnd() override { scanner_.AllowFullRescan(); }
   void OnRetract(ProfileId id) override;
+  bool EmitsOnlyNewPairs() const override { return !scanner_.ScannedAny(); }
   void Snapshot(std::ostream& out) const override;
   bool Restore(std::istream& in) override;
 
@@ -106,7 +115,7 @@ class IPes : public IncrementalPrioritizer {
   std::vector<uint32_t> entity_pos_;   // profile id -> tracked_ index
   std::vector<ProfileId> tracked_ids_;
   std::vector<EntityEntry> tracked_;
-  BoundedPriorityQueue<EntityRef, EntityRefLess> entity_queue_;
+  SortedRunQueue<EntityRef, EntityRefLess> entity_queue_;
   BoundedPriorityQueue<Comparison, CompareByWeight> low_queue_;  // PQ
 
   double total_ = 0.0;     // Total: sum of all inserted weights
@@ -117,6 +126,7 @@ class IPes : public IncrementalPrioritizer {
   BlockScanner scanner_;
   WeightingScratch scratch_;  // reused across increments
   std::vector<TokenId> retained_;  // reused ghosting output buffer
+  std::vector<Comparison> candidates_;  // reused I-WNP buffer
 };
 
 }  // namespace pier

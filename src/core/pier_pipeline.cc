@@ -1,8 +1,10 @@
 #include "core/pier_pipeline.h"
 
+#include <algorithm>
 #include <cctype>
 #include <iterator>
 #include <sstream>
+#include <unordered_set>
 
 #include "core/i_pbs.h"
 #include "core/i_pcs.h"
@@ -189,6 +191,7 @@ WorkStats PierPipeline::AddProfiles(std::vector<EntityProfile> profiles,
     // re-forms from post-update verdicts over the rescheduled pairs.
     if (options_.track_clusters) clusters_.ReviveAsSingleton(id);
   }
+  if (correction) ScheduleOnce(&delta);
   stats += prioritizer_->UpdateCmpIndex(delta);
   obs::CounterAdd(metrics_.increments);
   obs::CounterAdd(metrics_.block_updates, stats.block_updates);
@@ -203,6 +206,15 @@ WorkStats PierPipeline::AddProfiles(std::vector<EntityProfile> profiles,
   obs::CounterAdd(metrics_.profiles_ingested, stats.profiles);
   obs::CounterAdd(metrics_.tokens_ingested, stats.tokens);
   return stats;
+}
+
+void PierPipeline::ScheduleOnce(std::vector<ProfileId>* delta) {
+  std::unordered_set<ProfileId> seen;
+  delta->erase(std::remove_if(delta->begin(), delta->end(),
+                              [&seen](ProfileId id) {
+                                return !seen.insert(id).second;
+                              }),
+               delta->end());
 }
 
 void PierPipeline::RetractProfile(ProfileId id, WorkStats* stats) {
@@ -261,6 +273,9 @@ std::vector<Comparison> PierPipeline::EmitBatch(size_t k, WorkStats* stats) {
   std::vector<Comparison> batch;
   batch.reserve(k);
   Comparison c;
+  // While the strategy emits only new pairs, the executed filter logs
+  // them instead of testing them (PairFilter::Record).
+  bool only_new = prioritizer_->EmitsOnlyNewPairs();
   while (batch.size() < k) {
     if (!prioritizer_->Dequeue(&c)) {
       // Index drained: pull older pairs forward (empty-increment tick)
@@ -268,6 +283,7 @@ std::vector<Comparison> PierPipeline::EmitBatch(size_t k, WorkStats* stats) {
       // I-PCS/I-PES fall back to the block scanner.
       const WorkStats tick_stats = prioritizer_->UpdateCmpIndex({});
       if (stats != nullptr) *stats += tick_stats;
+      only_new = prioritizer_->EmitsOnlyNewPairs();
       if (prioritizer_->Empty()) break;  // genuinely exhausted
       continue;
     }
@@ -280,9 +296,13 @@ std::vector<Comparison> PierPipeline::EmitBatch(size_t k, WorkStats* stats) {
       obs::CounterAdd(metrics_.comparisons_retracted);
       continue;
     }
-    if (executed_ && executed_->TestAndAdd(c.x, c.y)) {
-      obs::CounterAdd(metrics_.comparisons_suppressed);
-      continue;
+    if (executed_) {
+      if (only_new) {
+        executed_->Record(c.x, c.y);
+      } else if (executed_->TestAndAdd(c.x, c.y)) {
+        obs::CounterAdd(metrics_.comparisons_suppressed);
+        continue;
+      }
     }
     batch.push_back(c);
   }

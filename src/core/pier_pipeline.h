@@ -261,6 +261,12 @@ class PierPipeline {
   WorkStats AddProfiles(std::vector<EntityProfile> profiles, bool tokenize,
                         bool correction);
 
+  // Drops every repeat of an id from a correction's delta, keeping the
+  // first. A profile corrected twice in one call is then scheduled once,
+  // for its last version (its earlier version's pairs were never
+  // generated), so the strategy generates each of its pairs once.
+  static void ScheduleOnce(std::vector<ProfileId>* delta);
+
   // Delete internals for one live profile (shared by Delete and the
   // retract half of Update): everything except the profile-store
   // tombstone, which Delete writes and Update replaces.

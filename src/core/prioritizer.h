@@ -139,6 +139,18 @@ class IncrementalPrioritizer {
   // comparison filter CF; every other strategy keeps the default.
   virtual const PairFilter* UniquePairFilter() const { return nullptr; }
 
+  // True while every pair Dequeue returns is one the strategy never
+  // returned before, unless an endpoint was retracted in between
+  // (OnRetract purges the pair from every queue, and the pipeline
+  // withdraws it from its filter). The pipeline then logs emitted pairs
+  // into its executed filter (PairFilter::Record) instead of testing
+  // them, and re-reads the hook after every UpdateCmpIndex it runs.
+  // Once false it must stay false. I-PCS and I-PES hold it until their
+  // block scanner first scans a block: before that, each pair is
+  // generated once, when its later endpoint arrives
+  // (only_older_neighbors), and sits in exactly one queue.
+  virtual bool EmitsOnlyNewPairs() const { return false; }
+
   // Checkpoint support (see src/persist/): serializes the strategy's
   // complete internal state (queues, per-token indexes, filters,
   // scanner progress) so a restored prioritizer emits the exact

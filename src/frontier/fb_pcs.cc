@@ -120,21 +120,23 @@ WorkStats FbPcs::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   WorkStats stats;
   const WeightingContext wctx{ctx_.blocks, ctx_.profiles, options_.scheme};
 
-  std::vector<Comparison> cmp_list;
+  // Each profile's candidates go to the tail of one reused buffer and
+  // are pruned there.
+  candidates_.clear();
   for (const ProfileId id : delta) {
     const EntityProfile& p = ctx_.profiles->Get(id);
     GhostBlocks(*ctx_.blocks, p, options_.beta, &retained_);
-    std::vector<Comparison> candidates = GenerateWeightedComparisons(
-        wctx, p, retained_, /*only_older_neighbors=*/true, /*visits=*/nullptr,
-        &scratch_);
-    stats.comparisons_generated += candidates.size();
-    candidates = IWnpPrune(std::move(candidates));
+    const size_t begin = candidates_.size();
+    AppendWeightedComparisons(wctx, p, retained_, /*only_older_neighbors=*/true,
+                              /*visits=*/nullptr, scratch_, &candidates_);
+    stats.comparisons_generated += candidates_.size() - begin;
+    IWnpPrune(&candidates_, begin);
     // The feedback decoration: scale each surviving candidate by its
     // best common block's posterior boost.
-    for (Comparison& c : candidates) {
+    for (size_t i = begin; i < candidates_.size(); ++i) {
+      Comparison& c = candidates_[i];
       c.weight *= PairBoost(p, ctx_.profiles->Get(c.y));
     }
-    cmp_list.insert(cmp_list.end(), candidates.begin(), candidates.end());
   }
 
   // Promoted blocks jump the queue ahead of the scanner fallback: one
@@ -142,10 +144,10 @@ WorkStats FbPcs::UpdateCmpIndex(const std::vector<ProfileId>& delta) {
   ServeHotBlock(&stats);
 
   if (delta.empty() && index_.empty()) {
-    cmp_list = scanner_.NextBlock(&stats);
+    candidates_ = scanner_.NextBlock(&stats);
   }
 
-  for (auto& c : cmp_list) {
+  for (const Comparison& c : candidates_) {
     index_.PushBounded(c);
     ++stats.index_ops;
   }

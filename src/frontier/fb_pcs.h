@@ -58,6 +58,7 @@ class FbPcs : public IncrementalPrioritizer {
   BlockScanner scanner_;
   WeightingScratch scratch_;
   std::vector<TokenId> retained_;  // reused ghosting output buffer
+  std::vector<Comparison> candidates_;  // reused I-WNP buffer
 
   // Per-token verdict history (indexed by TokenId, grown on demand)
   // plus the global totals behind the prior.

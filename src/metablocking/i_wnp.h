@@ -8,20 +8,24 @@
 #ifndef PIER_METABLOCKING_I_WNP_H_
 #define PIER_METABLOCKING_I_WNP_H_
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "model/comparison.h"
 
 namespace pier {
 
-// Returns the retained candidates (weight >= mean weight of the input
-// list). An empty input yields an empty output; a single candidate is
-// always retained.
-std::vector<Comparison> IWnpPrune(std::vector<Comparison> candidates);
+// Prunes one neighbourhood in place: of the candidates in
+// (*candidates)[begin, end), keeps those with weight >= their mean
+// weight, in order; the elements before `begin` are untouched. Callers
+// append each profile's candidates to one reused buffer and prune its
+// tail. An empty or single-candidate tail is kept as is.
+void IWnpPrune(std::vector<Comparison>* candidates, size_t begin);
 
-// The mean weight of a candidate list (0.0 for an empty list);
-// exposed for tests and diagnostics.
-double MeanWeight(const std::vector<Comparison>& candidates);
+// The mean weight of a candidate list, summed in order (0.0 for an
+// empty list).
+double MeanWeight(std::span<const Comparison> candidates);
 
 }  // namespace pier
 

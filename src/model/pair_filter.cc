@@ -15,7 +15,22 @@ namespace {
 constexpr size_t kHeapBlockHeader = sizeof(void*);
 }  // namespace
 
+void PairFilter::Fold() {
+  ProfileId hi = 0;
+  for (const LoggedPair& pair : log_) hi = std::max({hi, pair.x, pair.y});
+  if (hi >= partners_.size()) partners_.resize(size_t{hi} + 1);
+  for (const LoggedPair& pair : log_) {
+    partners_[pair.x].push_back(pair.y);
+    partners_[pair.y].push_back(pair.x);
+  }
+  num_pairs_ += log_.size();
+  // Released, not cleared: on an append-only stream the log folds
+  // once, when the pipeline stops calling Record.
+  std::vector<LoggedPair>().swap(log_);
+}
+
 size_t PairFilter::Retract(ProfileId id) {
+  if (!log_.empty()) Fold();
   if (id >= partners_.size()) return 0;
   // Swapping with an empty vector releases the list's storage too.
   std::vector<ProfileId> taken;
@@ -40,16 +55,43 @@ size_t PairFilter::ApproxMemoryBytes() const {
       total += list.capacity() * sizeof(ProfileId) + kHeapBlockHeader;
     }
   }
-  return total;
+  return total + log_.capacity() * sizeof(LoggedPair);
 }
 
 void PairFilter::Snapshot(std::ostream& out) const {
+  // Reads through the pending log: its pairs under both endpoints,
+  // sorted by id, join each id's list as Fold would add them.
+  std::vector<std::pair<ProfileId, ProfileId>> pending;
+  pending.reserve(2 * log_.size());
+  for (const LoggedPair& pair : log_) {
+    pending.emplace_back(pair.x, pair.y);
+    pending.emplace_back(pair.y, pair.x);
+  }
+  std::sort(pending.begin(), pending.end());
+  const size_t table =
+      std::max<size_t>(partners_.size(),
+                       pending.empty() ? 0 : size_t{pending.back().first} + 1);
+  const auto has_partners = [&](size_t id) {
+    return id < partners_.size() && !partners_[id].empty();
+  };
+
   uint64_t count = 0;
-  for (const auto& list : partners_) count += list.empty() ? 0 : 1;
+  auto next = pending.begin();
+  for (size_t id = 0; id < table; ++id) {
+    const bool logged = next != pending.end() && next->first == id;
+    while (next != pending.end() && next->first == id) ++next;
+    count += (has_partners(id) || logged) ? 1 : 0;
+  }
   serial::WriteU64(out, count);
-  for (size_t id = 0; id < partners_.size(); ++id) {
-    if (partners_[id].empty()) continue;
-    std::vector<ProfileId> list = partners_[id];
+  next = pending.begin();
+  std::vector<ProfileId> list;
+  for (size_t id = 0; id < table; ++id) {
+    list.clear();
+    if (has_partners(id)) list = partners_[id];
+    for (; next != pending.end() && next->first == id; ++next) {
+      list.push_back(next->second);
+    }
+    if (list.empty()) continue;
     std::sort(list.begin(), list.end());
     serial::WriteU32(out, static_cast<ProfileId>(id));
     serial::WriteVec(out, list, serial::WriteU32);
@@ -101,6 +143,7 @@ bool PairFilter::Restore(std::istream& in) {
   }
   partners_ = std::move(partners);
   num_pairs_ = total / 2;
+  log_.clear();
   return true;
 }
 

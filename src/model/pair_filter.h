@@ -21,6 +21,16 @@
 // Recall contract: the filter is exact. It never reports a never-seen
 // pair as seen, so no pair path loses a comparison to it. It grows
 // with the recorded pairs and shrinks on retraction.
+//
+// Pending log: a caller that knows a pair is not recorded (the
+// executed filter while the strategy emits only new pairs,
+// IncrementalPrioritizer::EmitsOnlyNewPairs) calls Record, which
+// appends the pair to a log (8 B, sequential) instead of indexing it.
+// Every query folds the log into the partner table first (TestAndAdd,
+// Retract) or reads through it (num_pairs, Snapshot,
+// ApproxMemoryBytes), so the answers, counts and snapshot bytes are
+// those of TestAndAdd on the same pairs. A stream that never queries
+// the filter never builds the table.
 
 #ifndef PIER_MODEL_PAIR_FILTER_H_
 #define PIER_MODEL_PAIR_FILTER_H_
@@ -43,6 +53,7 @@ class PairFilter {
   // inline. Each pair is recorded at most once, so Retract withdraws
   // each pair exactly once and num_pairs stays exact.
   bool TestAndAdd(ProfileId x, ProfileId y) {
+    if (!log_.empty()) Fold();
     if (Contains(x, y)) return true;
     const ProfileId hi = x < y ? y : x;
     if (hi >= partners_.size()) partners_.resize(size_t{hi} + 1);
@@ -52,13 +63,19 @@ class PairFilter {
     return false;
   }
 
+  // Records the pair (x, y), x != y, without a membership test.
+  // Precondition: the pair is not recorded, in either order (never
+  // recorded, or retracted since). Breaking it records the pair twice,
+  // so num_pairs and Retract overcount.
+  void Record(ProfileId x, ProfileId y) { log_.push_back({x, y}); }
+
   // Withdraws every recorded pair with endpoint `id`, in both
   // directions, so those pairs test as unseen again; returns the number
   // of pairs withdrawn.
   size_t Retract(ProfileId id);
 
-  uint64_t num_pairs() const { return num_pairs_; }
-  bool empty() const { return num_pairs_ == 0; }
+  uint64_t num_pairs() const { return num_pairs_ + log_.size(); }
+  bool empty() const { return num_pairs() == 0; }
 
   // Canonical serialization: ids with partners ascending, partner lists
   // ascending (the in-memory order is immaterial to semantics).
@@ -68,10 +85,19 @@ class PairFilter {
   // decode failure or asymmetric content, leaving the filter unchanged.
   bool Restore(std::istream& in);
 
-  // Heap bytes of the partner table and lists.
+  // Heap bytes of the partner table, its lists and the pending log.
   size_t ApproxMemoryBytes() const;
 
  private:
+  struct LoggedPair {
+    ProfileId x;
+    ProfileId y;
+  };
+
+  // Moves the pending log into the partner table, in log order: the
+  // lists come out as TestAndAdd would have built them.
+  void Fold();
+
   // Costs a scan of the shorter partner list.
   bool Contains(ProfileId x, ProfileId y) const {
     if ((x < y ? y : x) >= partners_.size()) return false;
@@ -85,7 +111,9 @@ class PairFilter {
 
   // partners_[id]: the partners recorded for `id` (empty: none).
   std::vector<std::vector<ProfileId>> partners_;
-  uint64_t num_pairs_ = 0;
+  uint64_t num_pairs_ = 0;  // pairs in partners_, not counting log_
+  // Recorded pairs not yet in partners_, in Record order.
+  std::vector<LoggedPair> log_;
 };
 
 }  // namespace pier

@@ -53,7 +53,7 @@ namespace persist {
 inline constexpr char kMagic[8] = {'P', 'I', 'E', 'R', 'S', 'N', 'A', 'P'};
 // The one version this build writes and reads (see the versioning
 // policy above).
-inline constexpr uint32_t kFormatVersion = 7;
+inline constexpr uint32_t kFormatVersion = 8;
 
 // Accumulates named sections in memory, then serializes the complete
 // framed snapshot in one pass. Section names must be unique and are

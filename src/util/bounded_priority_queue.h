@@ -132,7 +132,7 @@ class BoundedPriorityQueue {
   }
 
   // Read-only view of the underlying storage (heap order, not sorted).
-  // Used by tests and by I-PES when it re-seeds its EntityQueue.
+  // Used by tests and by snapshots.
   const std::vector<T>& data() const { return v_; }
 
   // Replaces the storage with `data`, which must be a verbatim copy of

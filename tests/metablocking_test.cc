@@ -193,28 +193,51 @@ TEST(PairCbsWeightTest, CountsCommonTokens) {
 // ---------------------------------------------------------------------------
 
 TEST(IWnpTest, PrunesBelowMean) {
-  std::vector<Comparison> in = {
+  std::vector<Comparison> cmps = {
       Comparison(0, 1, 1.0), Comparison(0, 2, 2.0), Comparison(0, 3, 9.0)};
   // mean = 4 -> only the 9.0 comparison survives.
-  const auto out = IWnpPrune(in);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].weight, 9.0);
+  IWnpPrune(&cmps, 0);
+  ASSERT_EQ(cmps.size(), 1u);
+  EXPECT_DOUBLE_EQ(cmps[0].weight, 9.0);
 }
 
 TEST(IWnpTest, KeepsComparisonsAtMean) {
-  std::vector<Comparison> in = {Comparison(0, 1, 2.0), Comparison(0, 2, 2.0)};
-  EXPECT_EQ(IWnpPrune(in).size(), 2u);  // weight == mean retained
+  std::vector<Comparison> cmps = {Comparison(0, 1, 2.0),
+                                  Comparison(0, 2, 2.0)};
+  IWnpPrune(&cmps, 0);
+  EXPECT_EQ(cmps.size(), 2u);  // weight == mean retained
 }
 
 TEST(IWnpTest, SingletonAndEmptyPassThrough) {
-  EXPECT_TRUE(IWnpPrune({}).empty());
-  EXPECT_EQ(IWnpPrune({Comparison(0, 1, 0.5)}).size(), 1u);
+  std::vector<Comparison> cmps;
+  IWnpPrune(&cmps, 0);
+  EXPECT_TRUE(cmps.empty());
+  cmps = {Comparison(0, 1, 0.5)};
+  IWnpPrune(&cmps, 0);
+  EXPECT_EQ(cmps.size(), 1u);
+}
+
+// Only the tail after `begin` is one neighbourhood: the prefix neither
+// counts toward its mean nor gets pruned.
+TEST(IWnpTest, PrunesOnlyTheTail) {
+  std::vector<Comparison> cmps = {Comparison(0, 1, 0.1), Comparison(1, 2, 9.0),
+                                  Comparison(2, 3, 1.0), Comparison(2, 4, 3.0),
+                                  Comparison(2, 5, 5.0)};
+  IWnpPrune(&cmps, 2);  // tail mean = 3
+  ASSERT_EQ(cmps.size(), 4u);
+  EXPECT_DOUBLE_EQ(cmps[0].weight, 0.1);
+  EXPECT_DOUBLE_EQ(cmps[1].weight, 9.0);
+  EXPECT_DOUBLE_EQ(cmps[2].weight, 3.0);
+  EXPECT_DOUBLE_EQ(cmps[3].weight, 5.0);
+  IWnpPrune(&cmps, 4);  // a single-candidate tail is kept
+  EXPECT_EQ(cmps.size(), 4u);
 }
 
 TEST(IWnpTest, MeanWeight) {
   EXPECT_DOUBLE_EQ(MeanWeight({}), 0.0);
-  EXPECT_DOUBLE_EQ(
-      MeanWeight({Comparison(0, 1, 1.0), Comparison(0, 2, 3.0)}), 2.0);
+  const std::vector<Comparison> cmps = {Comparison(0, 1, 1.0),
+                                        Comparison(0, 2, 3.0)};
+  EXPECT_DOUBLE_EQ(MeanWeight(cmps), 2.0);
 }
 
 // ---------------------------------------------------------------------------

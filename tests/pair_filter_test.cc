@@ -1,5 +1,6 @@
 // Tests for model/pair_filter.h (test-and-add, retraction, canonical
-// snapshot bytes, rejection of truncated payloads), the filter's
+// snapshot bytes, rejection of truncated payloads, Record's lazy fold
+// against test-and-add), the filter's
 // exactness against an oracle, and golden CRC32C digests that pin the
 // wire format of the scalable Bloom filters and of PairFilter.
 //
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "persist/crc32c.h"
 #include "util/counting_bloom_filter.h"
 #include "util/hashing.h"
+#include "util/rng.h"
 #include "util/scalable_bloom_filter.h"
 
 namespace pier {
@@ -131,6 +134,68 @@ INSTANTIATE_TEST_SUITE_P(AllModes, PairFilterTest,
                                            Mode{true, true}),
                          ModeName);
 
+// Record and its lazy fold against TestAndAdd on the same stream: new
+// pairs go to Record on one filter and TestAndAdd on the other, mixed
+// with membership tests of random pairs (which fold the log),
+// retractions and snapshots (which read through it). Every answer,
+// count and snapshot byte agrees.
+TEST(PairFilterRecordTest, LazyFoldMatchesEagerTestAndAdd) {
+  Rng rng(0x5eed);
+  PairFilter lazy;
+  PairFilter eager;
+  std::unordered_set<uint64_t> recorded;
+  constexpr ProfileId kIds = 400;
+  const auto random_pair = [&rng] {
+    const auto x = static_cast<ProfileId>(rng.UniformInt(0, kIds - 1));
+    auto y = static_cast<ProfileId>(rng.UniformInt(0, kIds - 2));
+    if (y >= x) ++y;
+    return std::make_pair(x, y);
+  };
+  uint64_t records = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const uint64_t op = rng.UniformInt(0, 999);
+    if (op < 850) {
+      auto [x, y] = random_pair();
+      while (recorded.count(PairKey(x, y)) != 0) std::tie(x, y) = random_pair();
+      recorded.insert(PairKey(x, y));
+      lazy.Record(x, y);
+      ASSERT_FALSE(eager.TestAndAdd(x, y)) << x << "," << y;
+      ++records;
+    } else if (op < 950) {
+      const auto [x, y] = random_pair();
+      const bool seen = recorded.count(PairKey(x, y)) != 0;
+      recorded.insert(PairKey(x, y));
+      ASSERT_EQ(lazy.TestAndAdd(x, y), seen) << x << "," << y;
+      ASSERT_EQ(eager.TestAndAdd(x, y), seen) << x << "," << y;
+    } else if (op < 990) {
+      const auto id = static_cast<ProfileId>(rng.UniformInt(0, kIds + 9));
+      std::erase_if(recorded, [id](uint64_t key) {
+        return key >> 32 == id || (key & 0xffffffffu) == id;
+      });
+      ASSERT_EQ(lazy.Retract(id), eager.Retract(id)) << id;
+    } else {
+      ASSERT_EQ(SnapshotBytes(lazy), SnapshotBytes(eager)) << step;
+    }
+    ASSERT_EQ(lazy.num_pairs(), recorded.size());
+    ASSERT_EQ(eager.num_pairs(), recorded.size());
+  }
+  EXPECT_GT(records, 30000u);
+  // A snapshot taken with a pending log restores to the same filter.
+  for (int i = 0; i < 100; ++i) {
+    auto [x, y] = random_pair();
+    if (!recorded.insert(PairKey(x, y)).second) continue;
+    lazy.Record(x, y);
+    ASSERT_FALSE(eager.TestAndAdd(x, y));
+  }
+  const std::string bytes = SnapshotBytes(lazy);
+  EXPECT_EQ(bytes, SnapshotBytes(eager));
+  PairFilter restored;
+  std::istringstream in(bytes);
+  ASSERT_TRUE(restored.Restore(in));
+  EXPECT_EQ(restored.num_pairs(), lazy.num_pairs());
+  EXPECT_EQ(SnapshotBytes(restored), bytes);
+}
+
 // The filter is exact: over a random stream of 200k pairs (about 40
 // partners per profile) it reports a pair as seen exactly when it was
 // recorded and not retracted since.
@@ -238,6 +303,18 @@ TEST(FilterWireFormatGoldenTest, PairFilterEveryMode) {
     (void)filter.TestAndAdd(pairs[i].first, pairs[i].second);
   }
   EXPECT_EQ(SnapshotCrc(filter), 0x1d04b989u);
+
+  // The same content through Record, which takes each new pair only.
+  PairFilter logged;
+  std::unordered_set<uint64_t> seen;
+  for (const auto& [x, y] : pairs) {
+    if (seen.insert(PairKey(x, y)).second) logged.Record(x, y);
+  }
+  for (const ProfileId id : {5u, 42u, 123u}) (void)logged.Retract(id);
+  for (size_t i = 0; i < 500; ++i) {
+    (void)logged.TestAndAdd(pairs[i].first, pairs[i].second);
+  }
+  EXPECT_EQ(SnapshotCrc(logged), 0x1d04b989u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -28,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/i_pcs.h"
+#include "core/i_pes.h"
 #include "core/pier_pipeline.h"
 #include "datagen/generators.h"
 #include "obs/metrics.h"
@@ -187,9 +190,133 @@ TEST_P(PairUniquenessTest, MutableStreamRepeatsOnlyAfterRetraction) {
   EXPECT_EQ(checker.repeats(), 0u);
 }
 
+// A profile corrected twice in one Update call is scheduled once, for
+// its last version, so no pair of it is emitted twice.
+TEST_P(PairUniquenessTest, ProfileCorrectedTwiceInOneCallRepeatsNoPair) {
+  PierOptions options;
+  options.strategy = GetParam();
+  options.mutable_stream = true;
+  PierPipeline pipeline(options);
+  UniquenessChecker checker;
+  const Observer observer = checker.observer();
+  const std::vector<EntityProfile>& profiles = Census().profiles;
+  pipeline.Ingest(std::vector<EntityProfile>(profiles.begin(),
+                                             profiles.begin() + 400));
+  EmitBatches(pipeline, 2, observer);
+  for (const ProfileId id : {ProfileId{17}, ProfileId{250}}) {
+    observer.on_retract(id);
+    pipeline.Update({Corrected(profiles[id]), Corrected(profiles[id])});
+  }
+  EmitBatches(pipeline, static_cast<size_t>(-1), observer);
+  EXPECT_GT(checker.pairs(), 1000u);
+  EXPECT_EQ(checker.repeats(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PairUniquenessTest,
                          ::testing::ValuesIn(AllStrategies()),
                          StrategyTestName);
+
+// A standalone prioritizer of a strategy that opts into
+// EmitsOnlyNewPairs, over the given pipeline's blocks and profiles.
+std::unique_ptr<IncrementalPrioritizer> MakeShadow(
+    PierStrategy strategy, const PierPipeline& pipeline,
+    const PrioritizerOptions& options) {
+  const PrioritizerContext ctx{&pipeline.blocks(), &pipeline.profiles(),
+                               nullptr};
+  switch (strategy) {
+    case PierStrategy::kIPcs:
+      return std::make_unique<IPcs>(ctx, options);
+    case PierStrategy::kIPes:
+      return std::make_unique<IPes>(ctx, options);
+    default:
+      return nullptr;
+  }
+}
+
+std::vector<ProfileId> IdsOf(const std::vector<EntityProfile>& profiles) {
+  std::vector<ProfileId> ids;
+  for (const EntityProfile& p : profiles) ids.push_back(p.id);
+  return ids;
+}
+
+// The premise of EmitsOnlyNewPairs, checked on the strategy itself:
+// while the hook holds, the raw Dequeue stream, with no executed filter
+// behind it, repeats no pair unless an endpoint was retracted in
+// between. A shadow prioritizer reads a pipeline's blocks and profiles
+// and gets the same increments and retractions; after each, it is
+// dequeued as RunStream dequeues a pipeline, but without the idle ticks
+// that would start its block scanner.
+TEST(EmitsOnlyNewPairsTest, RawStreamRepeatsNoPairWhileTheHookHolds) {
+  std::vector<PierStrategy> opted_in;
+  for (const PierStrategy strategy : AllStrategies()) {
+    PierOptions probe;
+    probe.strategy = strategy;
+    if (!PierPipeline(probe).prioritizer().EmitsOnlyNewPairs()) continue;
+    opted_in.push_back(strategy);
+    for (const bool mutate : {false, true}) {
+      SCOPED_TRACE(std::string(ToString(strategy)) +
+                   (mutate ? " mutable" : " append-only"));
+      PierOptions options;
+      options.strategy = strategy;
+      options.mutable_stream = mutate;
+      PierPipeline pipeline(options);
+      std::unique_ptr<IncrementalPrioritizer> shadow =
+          MakeShadow(strategy, pipeline, options.prioritizer);
+      ASSERT_NE(shadow, nullptr) << "no shadow for a strategy that opts in";
+      UniquenessChecker checker;
+      // No idle ticks: the block scanner stays off until the end.
+      const auto dequeue = [&](size_t n) {
+        Comparison c;
+        for (size_t i = 0; i < n && shadow->Dequeue(&c); ++i) {
+          checker.OnPair(c.x, c.y);
+        }
+        ASSERT_TRUE(shadow->EmitsOnlyNewPairs());
+      };
+      // OnRetract reads the profile's tokens, so it precedes the
+      // pipeline's own retraction.
+      const auto retract = [&](ProfileId id) {
+        checker.OnRetract(id);
+        shadow->OnRetract(id);
+      };
+
+      const std::vector<EntityProfile>& profiles = Census().profiles;
+      std::vector<ProfileId> previous_deletions;
+      for (size_t begin = 0; begin < profiles.size(); begin += kIncrement) {
+        const size_t end = std::min(begin + kIncrement, profiles.size());
+        std::vector<EntityProfile> increment(profiles.begin() + begin,
+                                             profiles.begin() + end);
+        const std::vector<ProfileId> ids = IdsOf(increment);
+        pipeline.Ingest(std::move(increment));
+        (void)shadow->UpdateCmpIndex(ids);
+        dequeue(kBatchesPerIncrement * kBatch);
+        if (!mutate) continue;
+        const std::vector<ProfileId> deletions = DeletionsOf(begin, end);
+        for (const ProfileId id : deletions) retract(id);
+        pipeline.Delete(deletions);
+        std::vector<EntityProfile> corrections =
+            CorrectionsOf(previous_deletions);
+        const std::vector<ProfileId> corrected = IdsOf(corrections);
+        for (const ProfileId id : corrected) {
+          if (pipeline.profiles().IsLive(id)) retract(id);
+        }
+        pipeline.Update(std::move(corrections));
+        // An empty delta would be an idle tick.
+        if (!corrected.empty()) (void)shadow->UpdateCmpIndex(corrected);
+        dequeue(kBatchesPerIncrement * kBatch);
+        previous_deletions = deletions;
+      }
+      dequeue(static_cast<size_t>(-1));
+      // The first idle tick on the drained index starts the scanner.
+      (void)shadow->UpdateCmpIndex({});
+      EXPECT_FALSE(shadow->EmitsOnlyNewPairs());
+      EXPECT_GT(checker.pairs(), 5000u);
+      EXPECT_EQ(checker.repeats(), 0u);
+    }
+  }
+  EXPECT_EQ(opted_in,
+            (std::vector<PierStrategy>{PierStrategy::kIPcs,
+                                       PierStrategy::kIPes}));
+}
 
 // Records every pair the realtime worker sends to the matcher.
 class RecordingMatcher : public Matcher {

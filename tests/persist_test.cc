@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -226,6 +227,10 @@ TEST(SnapshotTest, V5FileRejected) { ExpectOlderVersionRejected(5); }
 // curve granularity, stall limit and frontier seed in `sim.meta`; v7
 // has them as constants.
 TEST(SnapshotTest, V6FileRejected) { ExpectOlderVersionRejected(6); }
+
+// v7 wrote I-PES's EntityQueue as interval-heap storage; v8 writes it
+// in pop order.
+TEST(SnapshotTest, V7FileRejected) { ExpectOlderVersionRejected(7); }
 
 TEST(SnapshotTest, OutOfRangeVersionsRejected) {
   for (const uint32_t version : {uint32_t{0}, persist::kFormatVersion - 1,
@@ -857,6 +862,188 @@ TEST(PipelinePersistFilterSectionTest, IPbsWritesNoneAndIgnoresOne) {
       for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].Key(), b[i].Key());
       if (a.empty()) break;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// I-PES prioritizer payloads: meaning, not just the checksum
+// ---------------------------------------------------------------------------
+
+std::string PrioritizerPayload(const PierPipeline& pipeline) {
+  persist::SnapshotBuilder builder;
+  pipeline.Snapshot(builder);
+  std::istringstream in(builder.Bytes());
+  persist::SnapshotReader reader;
+  std::string error;
+  EXPECT_TRUE(reader.Parse(in, &error)) << error;
+  return *reader.Section("pier.prioritizer");
+}
+
+// Restores `pipeline`'s snapshot, its `pier.prioritizer` payload
+// replaced by `payload` and every section re-sealed, into a fresh
+// pipeline with `options`. On success, returns that pipeline's next
+// batch of up to 8 pairs in *batch.
+bool RestoreWithPrioritizer(const PierPipeline& pipeline,
+                            const PierOptions& options,
+                            const std::string& payload, std::string* error,
+                            std::vector<Comparison>* batch = nullptr) {
+  persist::SnapshotBuilder builder;
+  pipeline.Snapshot(builder);
+  std::istringstream in(builder.Bytes());
+  persist::SnapshotReader reader;
+  if (!reader.Parse(in, error)) return false;
+  persist::SnapshotBuilder resealed;
+  for (const std::string& name : reader.section_names()) {
+    resealed.AddSection(name)
+        << (name == "pier.prioritizer" ? payload : *reader.Section(name));
+  }
+  std::istringstream resealed_in(resealed.Bytes());
+  persist::SnapshotReader resealed_reader;
+  if (!resealed_reader.Parse(resealed_in, error)) return false;
+  PierPipeline restored(options);
+  if (!restored.Restore(resealed_reader, error)) return false;
+  if (batch != nullptr) *batch = restored.EmitBatch(8);
+  return true;
+}
+
+PierOptions IPesOptions() {
+  PierOptions options;
+  options.kind = DatasetKind::kDirty;
+  options.strategy = PierStrategy::kIPes;
+  return options;
+}
+
+// A drained I-PES tracks no entity. A payload whose nonempty-entity
+// count says otherwise made Empty() false while Dequeue found nothing,
+// so the next EmitBatch never returned; an entry with an empty queue
+// is rejected as well.
+TEST(IPesRestoreTest, RejectsEntityCountsTheEntriesDoNotBackUp) {
+  const PierOptions options = IPesOptions();
+  PierPipeline pipeline(options);
+  pipeline.Ingest(SampleIncrement(0, 20));
+  while (!pipeline.EmitBatch(64).empty()) {
+  }
+  const std::string payload = PrioritizerPayload(pipeline);
+  // Layout: entity count, EntityQueue length, low queue length (u64
+  // each), Total (f64), Count, nonempty-entity count (u64 each), then
+  // the refill count and the scanner.
+  std::istringstream fields(payload);
+  uint64_t entities = 1;
+  uint64_t entity_queue = 1;
+  uint64_t low_queue = 1;
+  double total = 0.0;
+  uint64_t count = 0;
+  uint64_t nonempty = 1;
+  ASSERT_TRUE(serial::ReadU64(fields, &entities) &&
+              serial::ReadU64(fields, &entity_queue) &&
+              serial::ReadU64(fields, &low_queue) &&
+              serial::ReadF64(fields, &total) &&
+              serial::ReadU64(fields, &count) &&
+              serial::ReadU64(fields, &nonempty));
+  ASSERT_EQ(entities + entity_queue + low_queue + nonempty, 0u);
+  const std::string rest = payload.substr(48);
+  const auto forge = [&](bool empty_entry, uint64_t nonempty_count) {
+    std::ostringstream out;
+    serial::WriteU64(out, empty_entry ? 1 : 0);
+    if (empty_entry) {
+      serial::WriteU32(out, 3);     // entity id
+      serial::WriteF64(out, 1.0);   // inserted_total
+      serial::WriteU64(out, 1);     // inserted_count
+      serial::WriteU64(out, 0);     // an empty E_PQ
+    }
+    serial::WriteU64(out, 0);
+    serial::WriteU64(out, 0);
+    serial::WriteF64(out, total);
+    serial::WriteU64(out, count);
+    serial::WriteU64(out, nonempty_count);
+    return out.str() + rest;
+  };
+  ASSERT_EQ(forge(false, 0), payload);
+
+  std::string error;
+  std::vector<Comparison> batch;
+  EXPECT_TRUE(RestoreWithPrioritizer(pipeline, options, payload, &error,
+                                     &batch))
+      << error;
+  EXPECT_TRUE(batch.empty());
+  for (const auto& [empty_entry, nonempty_count] :
+       {std::pair{false, 1}, std::pair{true, 1}, std::pair{true, 0}}) {
+    SCOPED_TRACE(std::to_string(empty_entry) + "/" +
+                 std::to_string(nonempty_count));
+    error.clear();
+    EXPECT_FALSE(RestoreWithPrioritizer(
+        pipeline, options, forge(empty_entry, nonempty_count), &error));
+    EXPECT_NE(error.find("pier.prioritizer"), std::string::npos) << error;
+  }
+}
+
+// The EntityQueue is stored in pop order within its capacity; a
+// payload out of order or over capacity is rejected.
+TEST(IPesRestoreTest, RejectsUnsortedOrOverCapacityEntityQueue) {
+  constexpr size_t kCapacity = 8;
+  PierOptions options = IPesOptions();
+  options.prioritizer.entity_queue_capacity = kCapacity;
+  PierPipeline pipeline(options);
+  pipeline.Ingest(SampleIncrement(0, 40));
+  const std::string payload = PrioritizerPayload(pipeline);
+
+  // Skip the entity entries to the EntityQueue: (id, weight) refs.
+  std::istringstream fields(payload);
+  uint64_t entities = 0;
+  ASSERT_TRUE(serial::ReadU64(fields, &entities));
+  for (uint64_t i = 0; i < entities; ++i) {
+    uint32_t id = 0;
+    double inserted_total = 0.0;
+    uint64_t inserted_count = 0;
+    std::vector<Comparison> pq;
+    ASSERT_TRUE(serial::ReadU32(fields, &id) &&
+                serial::ReadF64(fields, &inserted_total) &&
+                serial::ReadU64(fields, &inserted_count) &&
+                serial::ReadVec(fields, &pq, RestoreComparison));
+  }
+  const auto prefix_end = static_cast<size_t>(fields.tellg());
+  using Refs = std::vector<std::pair<uint32_t, double>>;
+  Refs refs;
+  ASSERT_TRUE(serial::ReadVec(
+      fields, &refs, [](std::istream& in, std::pair<uint32_t, double>* r) {
+        return serial::ReadU32(in, &r->first) &&
+               serial::ReadF64(in, &r->second);
+      }));
+  const auto refs_end = static_cast<size_t>(fields.tellg());
+  ASSERT_GE(refs.size(), 2u);
+  ASSERT_LE(refs.size(), kCapacity);
+  ASSERT_NE(refs.front(), refs.back());
+  const auto with_refs = [&](const Refs& r) {
+    std::ostringstream out;
+    serial::WriteVec(out, r,
+                     [](std::ostream& o, const std::pair<uint32_t, double>& e) {
+                       serial::WriteU32(o, e.first);
+                       serial::WriteF64(o, e.second);
+                     });
+    return payload.substr(0, prefix_end) + out.str() + payload.substr(refs_end);
+  };
+  ASSERT_EQ(with_refs(refs), payload);
+
+  Refs swapped = refs;
+  std::swap(swapped.front(), swapped.back());
+  // Refs below every real weight keep the order; stale ones are
+  // skipped at dequeue.
+  Refs full = refs;
+  while (full.size() < kCapacity) {
+    full.emplace_back(0, -static_cast<double>(full.size()));
+  }
+  Refs over = full;
+  over.emplace_back(0, -static_cast<double>(over.size()));
+
+  std::string error;
+  EXPECT_TRUE(RestoreWithPrioritizer(pipeline, options, with_refs(full),
+                                     &error))
+      << error;
+  for (const auto* bad : {&swapped, &over}) {
+    error.clear();
+    EXPECT_FALSE(
+        RestoreWithPrioritizer(pipeline, options, with_refs(*bad), &error));
+    EXPECT_NE(error.find("pier.prioritizer"), std::string::npos) << error;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "util/moving_average.h"
 #include "util/rng.h"
 #include "util/scalable_bloom_filter.h"
+#include "util/sorted_run_queue.h"
 #include "util/stopwatch.h"
 
 namespace pier {
@@ -282,6 +284,77 @@ TEST(BoundedPriorityQueueTest, EraseIfMatchesOracle) {
       ASSERT_TRUE(q.empty());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// SortedRunQueue
+// ---------------------------------------------------------------------------
+
+using IntRunQueue = SortedRunQueue<int, std::less<int>>;
+
+// BoundedPriorityQueue (PushBounded / PopMax) is the oracle: bursts of
+// pushes and pops over capacities from 0 to beyond the stream (so the
+// lazy trim, the merges and pops from both tiers all run), refills
+// through Assign, and snapshot round trips through Sorted and
+// RestoreSorted. Every pop agrees.
+TEST(SortedRunQueueTest, PopsLikeBoundedPriorityQueue) {
+  Rng rng(20261019);
+  for (const size_t capacity : {0, 1, 2, 7, 64, 300, 5000}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      IntRunQueue q(capacity);
+      BoundedPriorityQueue<int> oracle(capacity);
+      size_t pops = 0;
+      for (int round = 0; round < 80; ++round) {
+        const uint64_t action = rng.UniformInt(0, 9);
+        if (action == 0) {
+          std::vector<int> items(rng.UniformInt(0, 400));
+          for (int& x : items) x = static_cast<int>(rng.UniformInt(0, 999));
+          oracle.Clear();
+          for (const int x : items) oracle.PushBounded(x);
+          q.Assign(std::move(items));
+        } else if (action == 1) {
+          std::vector<int> expected = oracle.data();
+          std::sort(expected.begin(), expected.end(), std::greater<int>());
+          std::vector<int> sorted = q.Sorted();
+          ASSERT_EQ(sorted, expected) << "capacity " << capacity;
+          IntRunQueue restored(capacity);
+          ASSERT_TRUE(restored.RestoreSorted(std::move(sorted)));
+          q = std::move(restored);
+        } else {
+          for (uint64_t n = rng.UniformInt(0, 250); n > 0; --n) {
+            const int x = static_cast<int>(rng.UniformInt(0, 999));
+            q.Push(x);
+            oracle.PushBounded(x);
+          }
+          for (uint64_t n = rng.UniformInt(0, 150); n > 0 && !oracle.empty();
+               --n) {
+            ASSERT_FALSE(q.empty());
+            ASSERT_EQ(q.PopMax(), oracle.PopMax()) << "capacity " << capacity;
+            ++pops;
+          }
+        }
+        ASSERT_EQ(q.empty(), oracle.empty()) << "capacity " << capacity;
+      }
+      while (!oracle.empty()) {
+        ASSERT_EQ(q.PopMax(), oracle.PopMax());
+        ++pops;
+      }
+      EXPECT_TRUE(q.empty());
+      if (capacity > 0) {
+        EXPECT_GT(pops, 0u);
+      }
+    }
+  }
+}
+
+TEST(SortedRunQueueTest, RestoreSortedRejectsUnsortedAndOverCapacity) {
+  IntRunQueue q(3);
+  EXPECT_TRUE(q.RestoreSorted({9, 5, 5}));  // equal neighbours allowed
+  EXPECT_FALSE(q.RestoreSorted({5, 9}));
+  EXPECT_FALSE(q.RestoreSorted({9, 7, 5, 3}));
+  // A rejected payload leaves the queue as it was.
+  EXPECT_EQ(q.Sorted(), (std::vector<int>{9, 5, 5}));
+  EXPECT_EQ(q.PopMax(), 9);
 }
 
 // ---------------------------------------------------------------------------
