@@ -52,7 +52,7 @@ using namespace pier::bench;
 // delta-enumeration cost vs bounded stochastic sampling.
 double SchedulingNsPerComparison(const Dataset& dataset,
                                  PierStrategy strategy, size_t increments) {
-  // Library-default blocking (no aggressive purge): the figure-bench
+  // Library-default blocking (no aggressive purge): the reproduction
   // harness purges blocks over 300 members for runtime, but that cuts
   // off the power-law tail -- the very neighbourhoods whose exact
   // enumeration cost SPER-SK's bounded sampling exists to avoid. The
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   const std::string json_out = tools::Get(args, "json-out", "");
 
   // Quality is judged on the bibliographic dataset (the canonical
-  // quality workload of the figure benches); scheduling overhead on
+  // quality workload of the paper figures); scheduling overhead on
   // the power-law dbpedia dataset, whose heavy-tailed block sizes are
   // exactly the regime bounded sampling exists for -- on uniformly
   // tiny neighbourhoods both strategies degenerate to the same exact
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   const size_t increments = TinyScale() ? 200 : 1000;
 
   // Quality phase: PC-over-time under the budget, through the same
-  // harness the figure benches use.
+  // harness the paper figures use.
   SimulatorOptions sim;
   sim.num_increments = increments;
   sim.increments_per_second = 0.0;  // static setting

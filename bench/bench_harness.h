@@ -1,5 +1,6 @@
-// Shared scaffolding for the figure/table reproduction benches: scaled
-// dataset construction, algorithm factory, run driver, and printing.
+// Shared scaffolding for the benches: scaled dataset construction,
+// algorithm factory, run driver, and printing (pier_reproduce draws
+// the paper's table and figures with it).
 //
 // Every bench accepts the environment variable PIER_BENCH_SCALE:
 //   tiny            -- CI-smoke sizes, seconds per bench
@@ -33,15 +34,29 @@
 namespace pier {
 namespace bench {
 
-inline bool PaperScale() {
-  const char* scale = std::getenv("PIER_BENCH_SCALE");
-  return scale != nullptr && std::string(scale) == "paper";
+enum class Scale { kTiny, kSmall, kPaper };
+
+// PIER_BENCH_SCALE, read on the first call. Unset or empty means
+// small; any value but tiny, small or paper prints a diagnostic and
+// exits with status 2 rather than silently running small.
+inline Scale BenchScale() {
+  static const Scale scale = [] {
+    const char* value = std::getenv("PIER_BENCH_SCALE");
+    const std::string name = value == nullptr ? "" : value;
+    if (name == "tiny") return Scale::kTiny;
+    if (name.empty() || name == "small") return Scale::kSmall;
+    if (name == "paper") return Scale::kPaper;
+    std::fprintf(stderr,
+                 "PIER_BENCH_SCALE: expected tiny, small or paper, got "
+                 "\"%s\"\n",
+                 name.c_str());
+    std::exit(2);
+  }();
+  return scale;
 }
 
-inline bool TinyScale() {
-  const char* scale = std::getenv("PIER_BENCH_SCALE");
-  return scale != nullptr && std::string(scale) == "tiny";
-}
+inline bool PaperScale() { return BenchScale() == Scale::kPaper; }
+inline bool TinyScale() { return BenchScale() == Scale::kTiny; }
 
 // The four evaluation datasets of Table 1, at bench scale.
 inline Dataset MakeDa() {

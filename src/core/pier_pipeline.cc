@@ -163,6 +163,9 @@ WorkStats PierPipeline::IngestTokenized(std::vector<EntityProfile> profiles) {
 WorkStats PierPipeline::AddProfiles(std::vector<EntityProfile> profiles,
                                     bool tokenize, bool correction) {
   PIER_CHECK(!correction || options_.mutable_stream);
+  // An empty increment is not an idle tick (that is Tick()): it neither
+  // advances the prioritizer nor counts as an increment.
+  if (profiles.empty()) return {};
   const obs::ScopedTimer timer(metrics_.ingest_ns);
   WorkStats stats;
   std::vector<ProfileId> delta;

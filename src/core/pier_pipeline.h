@@ -127,7 +127,9 @@ class PierPipeline {
 
   // Data Reading + Incremental Blocking + prioritizer update for one
   // increment. Profiles must carry dense ids continuing the ingestion
-  // order; tokens/flat_text are filled here.
+  // order; tokens/flat_text are filled here. An empty increment (here
+  // and in the three calls below) returns at once; Tick() is the idle
+  // tick.
   WorkStats Ingest(std::vector<EntityProfile> profiles);
 
   // Sharded-ingest seam: same as Ingest, but for profiles whose

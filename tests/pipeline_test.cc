@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pier_pipeline.h"
+#include "obs/metrics.h"
 #include "strategy_test_name.h"
 
 namespace pier {
@@ -167,6 +168,32 @@ TEST(PipelineTest, EmitBatchUsesAdaptiveKByDefault) {
   pipeline.Ingest({Raw(0, 0, "x alpha"), Raw(1, 0, "x alpha"),
                    Raw(2, 0, "x beta")});
   EXPECT_EQ(pipeline.EmitBatch().size(), 1u);  // K = initial_k = 1
+}
+
+TEST(PipelineTest, EmptyIncrementIsNotAnIdleTick) {
+  obs::MetricsRegistry registry;
+  PierOptions options = SmallOptions(PierStrategy::kIPes);
+  options.mutable_stream = true;
+  options.metrics = &registry;
+  PierPipeline pipeline(options);
+  pipeline.Ingest({Raw(0, 0, "alpha beta"), Raw(1, 0, "alpha beta")});
+  // Drains the index without an internal tick: the batch is full.
+  ASSERT_EQ(pipeline.EmitBatch(1).size(), 1u);
+  ASSERT_TRUE(pipeline.prioritizer().EmitsOnlyNewPairs());
+  const obs::Counter* increments = registry.GetCounter("pipeline.increments");
+  ASSERT_EQ(increments->Value(), 1u);
+
+  // An idle tick here would start the block scanner, which re-offers
+  // (0,1) and turns the hook off.
+  EXPECT_EQ(pipeline.Ingest({}).comparisons_generated, 0u);
+  pipeline.IngestTokenized({});
+  pipeline.Update({});
+  pipeline.UpdateTokenized({});
+  EXPECT_TRUE(pipeline.prioritizer().EmitsOnlyNewPairs());
+  EXPECT_EQ(increments->Value(), 1u);
+
+  pipeline.Tick();  // the one idle tick
+  EXPECT_FALSE(pipeline.prioritizer().EmitsOnlyNewPairs());
 }
 
 }  // namespace
