@@ -8,8 +8,9 @@
 #         [-DEXTRA_ARGS=<arg;arg;...>] [-DBAD_ARG=<arg> -DEXPECT=<text>]
 #         -P cli_flags_test.cmake
 #
-# A small profiles CSV is written to WORK_DIR first, so a tool that
-# loads its input before reading the flag gets that far.
+# A small profiles CSV (@PROFILES@) and ground-truth CSV (@TRUTH@) are
+# written to WORK_DIR first, so a tool that loads its input before
+# reading the flag gets that far.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -19,7 +20,9 @@ file(WRITE "${profiles}"
   "profile_id,source,attribute,value\n"
   "0,0,name,john smith\n"
   "1,0,name,jon smith\n")
+file(WRITE "${WORK_DIR}/truth.csv" "profile_id_a,profile_id_b\n0,1\n")
 string(REPLACE "@PROFILES@" "${profiles}" args "${EXTRA_ARGS}")
+string(REPLACE "@TRUTH@" "${WORK_DIR}/truth.csv" args "${args}")
 string(REPLACE "@WORK_DIR@" "${WORK_DIR}" args "${args}")
 
 if(NOT DEFINED BAD_ARG)

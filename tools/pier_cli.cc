@@ -15,16 +15,29 @@
 //            [--mutation-rate=F]
 //
 // The profiles file uses the long format of datagen/dataset_io.h
-// (profile_id,source,attribute,value). With --truth, the tool replays
-// the data through the stream simulator and reports progressive
-// quality; without it, it runs the pipeline and prints matched pairs.
+// (profile_id,source,attribute,value). With --truth (and neither
+// --print-matches nor --serve-queries), evaluation mode replays the
+// data through the stream simulator and reports progressive quality.
+// Otherwise resolution mode (or serving mode, --serve-queries) streams
+// the increments through one ShardedPipeline at every --ingest-shards
+// count, N=1 included, signals stream end and drains it. Resolution
+// mode then prints its end-state answer on stdout: the drained match
+// set as sorted `x,y` lines with x < y, each pair once, dropping pairs
+// with a deleted endpoint. A pair matched against a profile version
+// that a later correction replaced stays in the answer, even when the
+// served clusters no longer join its endpoints: a correction withdraws
+// the old version's edges from the cluster index, not from this list.
 //
 // --algorithm picks the prioritization strategy (case-insensitive):
 // the paper trio plus the frontier strategies SPER-SK (stochastic
 // top-k sampling, seeded by --frontier-seed for deterministic replay)
 // and FB-PCS (verdict feedback folded back into block scores). `auto`
-// runs the selector heuristic over a data sample. An unknown name or
-// an unknown flag exits with status 2.
+// runs the selector heuristic over a data sample. Exit status 2: an
+// unknown flag; an unknown --algorithm, --matcher or --kind name;
+// --threads or --ingest-shards above 256 (each is an OS thread); a
+// simulator flag (--rate, --budget, --cost-model, --metrics-interval,
+// --checkpoint-*, --resume-from) outside evaluation mode; and
+// --ingest-shards or --mutation-rate in evaluation mode.
 //
 // --metrics-out streams JSON-lines metric snapshots (see src/obs/) to
 // FILE: one snapshot per --metrics-interval seconds of (virtual) run
@@ -41,21 +54,20 @@
 // curve is bit-identical to an uninterrupted run.
 //
 // --serve-queries=N runs the closed-loop serving mode instead: the
-// data streams through the multi-threaded realtime pipeline while this
-// thread issues N ClusterOf() point queries against the live cluster
-// index, interleaved with ingest. Reports query latency p50/p99 (from
+// same run, with this thread issuing N ClusterOf() point queries
+// against the live cluster index between increments (the remainder
+// after the drain). Reports query latency p50/p99 (from
 // the serve.* metrics), cluster statistics, and -- when --truth is
 // given -- the cluster-level recall of the served index.
 //
 // --ingest-shards=N partitions the blocking space across N shard
 // pipelines behind bounded microbatch queues, one worker thread each,
 // delivering into one cluster index (stream/sharded_pipeline.h): N-way
-// ingest parallelism. N=1 is deterministic; at N>1 the default options
-// (block purging, wall-clock findK) let the verdicts and clusters vary
-// slightly from run to run (DESIGN.md §8). Applies to serving mode
-// and to resolution mode; the simulator-based evaluation mode is
-// single-engine by design (virtual time needs one deterministic event
-// loop).
+// ingest parallelism. The drained match set measures the same at
+// N=1, 2 and 4; the delivered comparison count and the verdict order
+// depend on thread timing at every N (DESIGN.md §8). The evaluation
+// mode is single-engine by design (virtual time needs one
+// deterministic event loop).
 //
 // --mutation-rate=F turns the replay into a mutable stream: after each
 // increment, roughly F mutations per ingested profile are synthesized
@@ -63,13 +75,10 @@
 // corrections (a profile's content replaced by another record's
 // attributes -- the late-arriving-fix workload). Implies
 // mutable_stream, so the pipeline retracts the affected blocks,
-// priorities, and clusters (see DESIGN.md). Applies to serving and
-// resolution modes; the evaluation mode's simulator replays an
-// append-only schedule and rejects it. Output caveat: the progressive
-// match stream is emitted as verdicts land, so a pair whose endpoint
-// is deleted later in the run was still correct when printed; sharded
-// resolution prints at the end and therefore drops pairs with deleted
-// endpoints.
+// priorities, and clusters (see DESIGN.md). The evaluation mode's
+// simulator replays an append-only schedule. Output caveat: the answer
+// is taken after the drain, so a pair is not printed if an endpoint
+// stands deleted at stream end, even if it matched before the delete.
 
 #include <algorithm>
 #include <cctype>
@@ -78,8 +87,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,7 +99,6 @@
 #include "obs/metrics_io.h"
 #include "persist/checkpoint_manager.h"
 #include "similarity/matcher.h"
-#include "similarity/parallel_executor.h"
 #include "stream/pier_adapter.h"
 #include "stream/sharded_pipeline.h"
 #include "stream/stream_simulator.h"
@@ -196,6 +202,13 @@ int main(int argc, char** argv) {
   if (profiles_path.empty()) return Usage();
 
   const std::string kind_name = Get(args, "kind", "dirty");
+  if (kind_name != "dirty" && kind_name != "clean-clean") {
+    std::fprintf(stderr,
+                 "pier_cli: unknown kind '%s' (valid names: dirty, "
+                 "clean-clean)\n",
+                 kind_name.c_str());
+    return 2;
+  }
   const DatasetKind kind = kind_name == "clean-clean"
                                ? DatasetKind::kCleanClean
                                : DatasetKind::kDirty;
@@ -272,7 +285,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "pier_cli: unknown matcher '%s' (valid names: %s)\n",
                  matcher_name.c_str(), KnownMatcherNames());
-    return 1;
+    return 2;
   }
 
   SimulatorOptions sim_options;
@@ -295,6 +308,56 @@ int main(int argc, char** argv) {
       GetNumber<size_t>(args, "checkpoint-every", 10);
   sim_options.checkpoint_keep = GetNumber<size_t>(args, "checkpoint-keep", 3);
 
+  // Every shard and every match thread is an OS thread.
+  constexpr size_t kMaxThreads = 256;
+  const size_t ingest_shards = GetNumber<size_t>(args, "ingest-shards", 1);
+  if (ingest_shards == 0 || ingest_shards > kMaxThreads ||
+      options.execution_threads > kMaxThreads) {
+    std::fprintf(stderr,
+                 "--ingest-shards must be in [1, %zu] and --threads at most "
+                 "%zu\n",
+                 kMaxThreads, kMaxThreads);
+    return Usage();
+  }
+
+  const double mutation_rate = GetNumber(args, "mutation-rate", 0.0);
+  if (mutation_rate < 0.0 || mutation_rate > 1.0) {
+    std::fprintf(stderr, "--mutation-rate must be in [0, 1]\n");
+    return Usage();
+  }
+  options.mutable_stream = mutation_rate > 0.0;
+
+  const size_t serve_queries = GetNumber<size_t>(args, "serve-queries", 0);
+  if (serve_queries > 0 && args.count("print-matches")) {
+    std::fprintf(stderr,
+                 "--serve-queries is its own mode (no --print-matches)\n");
+    return Usage();
+  }
+  // A flag the chosen mode never reads is rejected, not ignored: the
+  // simulator's flags outside evaluation mode, the pipeline's in it.
+  const bool evaluation = truth_ptr != nullptr &&
+                          !args.count("print-matches") && serve_queries == 0;
+  for (const char* flag : {"rate", "budget", "cost-model", "metrics-interval",
+                           "checkpoint-dir", "checkpoint-every",
+                           "checkpoint-keep", "resume-from"}) {
+    if (!evaluation && args.count(flag)) {
+      std::fprintf(stderr,
+                   "--%s applies to evaluation mode only (--truth, no "
+                   "--print-matches or --serve-queries)\n",
+                   flag);
+      return Usage();
+    }
+  }
+  for (const char* flag : {"ingest-shards", "mutation-rate"}) {
+    if (evaluation && args.count(flag)) {
+      std::fprintf(stderr,
+                   "--%s applies to resolution and serving mode only; the "
+                   "simulator is one append-only engine\n",
+                   flag);
+      return Usage();
+    }
+  }
+
   // Observability: stream JSON-lines snapshots of every stage metric.
   obs::MetricsRegistry metrics;
   std::ofstream metrics_out;
@@ -312,147 +375,12 @@ int main(int argc, char** argv) {
         GetNumber(args, "metrics-interval", 1.0);
   }
 
-  const std::string resume_from = Get(args, "resume-from", "");
-  if (!resume_from.empty() &&
-      (truth_ptr == nullptr || args.count("print-matches"))) {
-    std::fprintf(stderr,
-                 "--resume-from requires evaluation mode (--truth, no "
-                 "--print-matches)\n");
-    return Usage();
-  }
-
-  const size_t ingest_shards = GetNumber<size_t>(args, "ingest-shards", 1);
-  if (ingest_shards == 0) {
-    std::fprintf(stderr, "--ingest-shards must be >= 1\n");
-    return Usage();
-  }
-
-  const double mutation_rate = GetNumber(args, "mutation-rate", 0.0);
-  if (mutation_rate < 0.0 || mutation_rate > 1.0) {
-    std::fprintf(stderr, "--mutation-rate must be in [0, 1]\n");
-    return Usage();
-  }
-  // Mutations need the retractable state machinery: counting executed
-  // filter, pair registry, tombstone-aware cluster index.
-  if (mutation_rate > 0.0) options.mutable_stream = true;
-  MutationDriver mutations(*dataset, mutation_rate);
-
-  const size_t serve_queries = GetNumber<size_t>(args, "serve-queries", 0);
-  if (serve_queries > 0) {
-    if (!resume_from.empty() || args.count("print-matches")) {
-      std::fprintf(stderr,
-                   "--serve-queries is its own mode (no --resume-from / "
-                   "--print-matches)\n");
-      return Usage();
-    }
-    // Closed-loop serving mode: the RealtimePipeline's worker thread
-    // matches and folds verdicts into the cluster index while this
-    // thread interleaves ingest with ClusterOf() point queries -- the
-    // production read path under genuine write concurrency.
-    options.metrics = &metrics;  // serve.* latency histogram lives here
-    std::mutex recall_mutex;
-    std::unique_ptr<ClusterRecallTracker> recall;
-    if (truth_ptr != nullptr) {
-      recall = std::make_unique<ClusterRecallTracker>(dataset->truth);
-    }
-    ShardedOptions sharded_options;
-    sharded_options.pipeline = options;
-    sharded_options.shard_count = ingest_shards;
-    ShardedPipeline realtime(
-        sharded_options, matcher.get(),
-        [&](ProfileId a, ProfileId b) {
-          if (recall == nullptr) return;
-          std::lock_guard<std::mutex> lock(recall_mutex);
-          recall->AddMatch(a, b);
-        });
-    const auto increments =
-        SplitIntoIncrements(*dataset, sim_options.num_increments);
-    const size_t per_increment =
-        increments.empty() ? 0 : serve_queries / increments.size();
-    Rng rng(42);
-    uint64_t clustered_answers = 0;
-    size_t issued = 0;
-    const auto issue = [&](size_t count) {
-      const size_t universe = realtime.clusters().universe_size();
-      if (universe == 0) return;
-      for (size_t i = 0; i < count && issued < serve_queries; ++i, ++issued) {
-        const auto id =
-            static_cast<ProfileId>(rng.UniformInt(0, universe - 1));
-        const serve::ClusterView view = realtime.ClusterOf(id);
-        if (view.members.size() > 1) ++clustered_answers;
-      }
-    };
-    const Stopwatch run_timer;
-    for (const auto& inc : increments) {
-      std::vector<EntityProfile> batch(
-          dataset->profiles.begin() + static_cast<ptrdiff_t>(inc.begin),
-          dataset->profiles.begin() + static_cast<ptrdiff_t>(inc.end));
-      realtime.Ingest(std::move(batch));
-      if (!mutations.AfterIncrement(
-              inc.end, inc.end - inc.begin,
-              [&](ProfileId id) { return realtime.Delete({id}); },
-              [&](EntityProfile p) {
-                std::vector<EntityProfile> one;
-                one.push_back(std::move(p));
-                return realtime.Update(std::move(one));
-              })) {
-        return 1;
-      }
-      issue(per_increment);
-    }
-    realtime.Drain();
-    issue(serve_queries - issued);  // remainder against the drained index
-    const double wall_s = run_timer.ElapsedSeconds();
-
-    const obs::Histogram* latency = metrics.GetHistogram("serve.query_ns");
-    std::printf("serve: %zu queries interleaved with %zu increments "
-                "(%zu profiles, %zu ingest shards) in %.2fs\n",
-                issued, increments.size(), dataset->profiles.size(),
-                realtime.shard_count(), wall_s);
-    std::printf("serve: query latency p50=%lluns p99=%lluns\n",
-                static_cast<unsigned long long>(latency->Quantile(0.5)),
-                static_cast<unsigned long long>(latency->Quantile(0.99)));
-    std::printf("serve: %llu matches -> %zu non-trivial clusters; %llu/%zu "
-                "queries answered from a multi-member cluster\n",
-                static_cast<unsigned long long>(realtime.matches_found()),
-                realtime.clusters().NumNonTrivialClusters(),
-                static_cast<unsigned long long>(clustered_answers), issued);
-    if (mutation_rate > 0.0) {
-      std::printf("serve: %llu deletes, %llu corrections interleaved\n",
-                  static_cast<unsigned long long>(mutations.deletes()),
-                  static_cast<unsigned long long>(mutations.updates()));
-    }
-    if (recall != nullptr) {
-      std::printf("serve: cluster recall %.4f (%llu/%llu ground-truth "
-                  "pairs co-clustered)\n",
-                  recall->Recall(),
-                  static_cast<unsigned long long>(recall->connected_pairs()),
-                  static_cast<unsigned long long>(
-                      recall->total_cluster_pairs()));
-    }
-    if (options.metrics != nullptr && metrics_out.is_open()) {
-      obs::WriteJsonLines(metrics_out, wall_s, metrics.Snapshot());
-    }
-    return 0;
-  }
-
-  if (truth_ptr != nullptr && !args.count("print-matches")) {
-    if (ingest_shards > 1) {
-      std::fprintf(stderr,
-                   "--ingest-shards applies to serving/resolution mode; the "
-                   "simulator-based evaluation mode is single-engine\n");
-      return Usage();
-    }
-    if (mutation_rate > 0.0) {
-      std::fprintf(stderr,
-                   "--mutation-rate applies to serving/resolution mode; the "
-                   "simulator replays an append-only schedule\n");
-      return Usage();
-    }
+  if (evaluation) {
     // Evaluation mode: progressive quality against the ground truth.
     const StreamSimulator simulator(&*dataset, sim_options);
     PierAdapter algorithm(options);
     RunResult result;
+    const std::string resume_from = Get(args, "resume-from", "");
     if (!resume_from.empty()) {
       // Resume from a checkpoint file, or from the newest checkpoint
       // when given a directory.
@@ -493,134 +421,122 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Resolution mode: print matched pairs.
-  const Stopwatch run_timer;
-  if (ingest_shards > 1) {
-    // Sharded resolution: stream the increments through N shard
-    // pipelines and print the merged match stream once drained. The
-    // pairs are sorted before printing so the output is deterministic
-    // regardless of cross-shard delivery interleaving.
-    ShardedOptions sharded_options;
-    sharded_options.pipeline = options;
-    sharded_options.shard_count = ingest_shards;
-    std::mutex matches_mutex;
-    std::vector<std::pair<ProfileId, ProfileId>> matched_pairs;
-    ShardedPipeline sharded(sharded_options, matcher.get(),
-                            [&](ProfileId a, ProfileId b) {
-                              std::lock_guard<std::mutex> lock(matches_mutex);
-                              matched_pairs.emplace_back(std::min(a, b),
-                                                         std::max(a, b));
-                            });
-    for (const auto& inc :
-         SplitIntoIncrements(*dataset, sim_options.num_increments)) {
-      std::vector<EntityProfile> batch(
-          dataset->profiles.begin() + static_cast<ptrdiff_t>(inc.begin),
-          dataset->profiles.begin() + static_cast<ptrdiff_t>(inc.end));
-      if (!sharded.Ingest(std::move(batch))) return 1;
-      if (!mutations.AfterIncrement(
-              inc.end, inc.end - inc.begin,
-              [&](ProfileId id) { return sharded.Delete({id}); },
-              [&](EntityProfile p) {
-                std::vector<EntityProfile> one;
-                one.push_back(std::move(p));
-                return sharded.Update(std::move(one));
-              })) {
-        return 1;
-      }
-    }
-    sharded.NotifyStreamEnd();
-    sharded.Drain();
-    std::sort(matched_pairs.begin(), matched_pairs.end());
-    size_t printed_pairs = 0;
-    for (const auto& [a, b] : matched_pairs) {
-      // Sharded output is printed after the drain, so pairs that lost
-      // an endpoint to a delete can (unlike the progressive single-
-      // pipeline stream) be dropped from the end-state answer.
-      if (mutation_rate > 0.0 && (sharded.clusters().IsDeleted(a) ||
-                                  sharded.clusters().IsDeleted(b))) {
-        continue;
-      }
-      std::printf("%u,%u\n", a, b);
-      ++printed_pairs;
-    }
-    if (options.metrics != nullptr) {
-      obs::WriteJsonLines(metrics_out, run_timer.ElapsedSeconds(),
-                          metrics.Snapshot());
-    }
-    std::fprintf(stderr,
-                 "processed %llu comparisons across %zu shards, %zu matched "
-                 "pairs\n",
-                 static_cast<unsigned long long>(
-                     sharded.comparisons_processed()),
-                 sharded.shard_count(), printed_pairs);
-    if (mutation_rate > 0.0) {
-      std::fprintf(stderr,
-                   "mutations: %llu deletes, %llu corrections (%zu stale "
-                   "pairs dropped)\n",
-                   static_cast<unsigned long long>(mutations.deletes()),
-                   static_cast<unsigned long long>(mutations.updates()),
-                   matched_pairs.size() - printed_pairs);
-    }
-    return 0;
-  }
-  PierPipeline pipeline(options);
-  const ParallelMatchExecutor executor(matcher.get(),
-                                       options.execution_threads,
-                                       options.metrics);
+  // Resolution and serving mode: one ShardedPipeline at every shard
+  // count. Match callbacks never overlap, and Drain() returns after the
+  // last one, so `matched_pairs` needs no lock.
+  if (serve_queries > 0) options.metrics = &metrics;  // serve.query_ns
+  MutationDriver mutations(*dataset, mutation_rate);
+  ShardedOptions sharded_options;
+  sharded_options.pipeline = options;
+  sharded_options.shard_count = ingest_shards;
+  std::vector<std::pair<ProfileId, ProfileId>> matched_pairs;
+  ShardedPipeline sharded(sharded_options, matcher.get(),
+                          [&](ProfileId a, ProfileId b) {
+                            matched_pairs.emplace_back(std::min(a, b),
+                                                       std::max(a, b));
+                          });
   const auto increments =
       SplitIntoIncrements(*dataset, sim_options.num_increments);
-  uint64_t matches = 0;
-  // The resolution step: emit, match, print, feed the verdicts back.
-  auto drain = [&](bool full) {
-    for (;;) {
-      const auto batch = pipeline.EmitBatch(1024);
-      if (batch.empty()) break;
-      const Stopwatch match_timer;
-      const auto verdicts = executor.Execute(batch, pipeline.profiles());
-      pipeline.RecordVerdicts(batch, verdicts, match_timer.ElapsedSeconds());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (verdicts[i].is_match) {
-          std::printf("%u,%u\n", batch[i].x, batch[i].y);
-          ++matches;
-        }
-      }
-      if (!full) break;
+  // Serving mode interleaves ClusterOf() point queries with ingest, the
+  // production read path under genuine write concurrency.
+  const size_t per_increment =
+      increments.empty() ? 0 : serve_queries / increments.size();
+  Rng rng(42);
+  uint64_t clustered_answers = 0;
+  size_t issued = 0;
+  const auto issue = [&](size_t count) {
+    const size_t universe = sharded.clusters().universe_size();
+    if (universe == 0) return;
+    for (size_t i = 0; i < count && issued < serve_queries; ++i, ++issued) {
+      const auto id = static_cast<ProfileId>(rng.UniformInt(0, universe - 1));
+      const serve::ClusterView view = sharded.ClusterOf(id);
+      if (view.members.size() > 1) ++clustered_answers;
     }
   };
+  const Stopwatch run_timer;
   for (const auto& inc : increments) {
     std::vector<EntityProfile> batch(
         dataset->profiles.begin() + static_cast<ptrdiff_t>(inc.begin),
         dataset->profiles.begin() + static_cast<ptrdiff_t>(inc.end));
-    pipeline.Ingest(std::move(batch));
-    mutations.AfterIncrement(
-        inc.end, inc.end - inc.begin,
-        [&](ProfileId id) {
-          pipeline.Delete({id});
-          return true;
-        },
-        [&](EntityProfile p) {
-          pipeline.Update({std::move(p)});
-          return true;
-        });
-    drain(/*full=*/false);
+    if (!sharded.Ingest(std::move(batch))) return 1;
+    if (!mutations.AfterIncrement(
+            inc.end, inc.end - inc.begin,
+            [&](ProfileId id) { return sharded.Delete({id}); },
+            [&](EntityProfile p) {
+              std::vector<EntityProfile> one;
+              one.push_back(std::move(p));
+              return sharded.Update(std::move(one));
+            })) {
+      return 1;
+    }
+    issue(per_increment);
   }
-  pipeline.NotifyStreamEnd();
-  drain(/*full=*/true);
-  if (options.metrics != nullptr) {
-    // No virtual clock in resolution mode: stamp the final snapshot
-    // with the run's wall-clock time so it orders after any earlier
-    // snapshots instead of the old constant 0.
-    obs::WriteJsonLines(metrics_out, run_timer.ElapsedSeconds(),
-                        metrics.Snapshot());
+  sharded.NotifyStreamEnd();
+  sharded.Drain();
+  issue(serve_queries - issued);  // remainder against the drained index
+  const double wall_s = run_timer.ElapsedSeconds();
+  if (metrics_out.is_open()) {
+    obs::WriteJsonLines(metrics_out, wall_s, metrics.Snapshot());
   }
-  std::fprintf(stderr, "emitted %llu comparisons, %llu matched pairs\n",
-               static_cast<unsigned long long>(
-                   pipeline.comparisons_emitted()),
-               static_cast<unsigned long long>(matches));
+
+  if (serve_queries > 0) {
+    const obs::Histogram* latency = metrics.GetHistogram("serve.query_ns");
+    std::printf("serve: %zu queries interleaved with %zu increments "
+                "(%zu profiles, %zu ingest shards) in %.2fs\n",
+                issued, increments.size(), dataset->profiles.size(),
+                sharded.shard_count(), wall_s);
+    std::printf("serve: query latency p50=%lluns p99=%lluns\n",
+                static_cast<unsigned long long>(latency->Quantile(0.5)),
+                static_cast<unsigned long long>(latency->Quantile(0.99)));
+    std::printf("serve: %llu matches -> %zu non-trivial clusters; %llu/%zu "
+                "queries answered from a multi-member cluster\n",
+                static_cast<unsigned long long>(sharded.matches_found()),
+                sharded.clusters().NumNonTrivialClusters(),
+                static_cast<unsigned long long>(clustered_answers), issued);
+    if (mutation_rate > 0.0) {
+      std::printf("serve: %llu deletes, %llu corrections interleaved\n",
+                  static_cast<unsigned long long>(mutations.deletes()),
+                  static_cast<unsigned long long>(mutations.updates()));
+    }
+    if (truth_ptr != nullptr) {
+      // The partition of every delivered match, whatever its order.
+      ClusterRecallTracker recall(dataset->truth);
+      for (const auto& [a, b] : matched_pairs) recall.AddMatch(a, b);
+      std::printf("serve: cluster recall %.4f (%llu/%llu ground-truth "
+                  "pairs co-clustered)\n",
+                  recall.Recall(),
+                  static_cast<unsigned long long>(recall.connected_pairs()),
+                  static_cast<unsigned long long>(
+                      recall.total_cluster_pairs()));
+    }
+    return 0;
+  }
+
+  // The end-state answer (see the header): a pair matched again after
+  // a correction is printed once.
+  std::sort(matched_pairs.begin(), matched_pairs.end());
+  matched_pairs.erase(std::unique(matched_pairs.begin(), matched_pairs.end()),
+                      matched_pairs.end());
+  size_t printed_pairs = 0;
+  for (const auto& [a, b] : matched_pairs) {
+    if (sharded.clusters().IsDeleted(a) || sharded.clusters().IsDeleted(b)) {
+      continue;
+    }
+    std::printf("%u,%u\n", a, b);
+    ++printed_pairs;
+  }
+  std::fprintf(stderr,
+               "processed %llu comparisons across %zu shards, %zu matched "
+               "pairs\n",
+               static_cast<unsigned long long>(sharded.comparisons_processed()),
+               sharded.shard_count(), printed_pairs);
   if (mutation_rate > 0.0) {
-    std::fprintf(stderr, "mutations: %llu deletes, %llu corrections\n",
+    std::fprintf(stderr,
+                 "mutations: %llu deletes, %llu corrections (%zu stale "
+                 "pairs dropped)\n",
                  static_cast<unsigned long long>(mutations.deletes()),
-                 static_cast<unsigned long long>(mutations.updates()));
+                 static_cast<unsigned long long>(mutations.updates()),
+                 matched_pairs.size() - printed_pairs);
   }
   return 0;
 }
