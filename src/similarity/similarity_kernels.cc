@@ -9,8 +9,6 @@ namespace pier {
 
 namespace {
 
-constexpr uint64_t kHighBit = uint64_t{1} << 63;
-
 // Unit-cost edits are unaffected by a shared prefix or suffix, so the
 // kernels only ever see the differing core of the two strings.
 void TrimCommonAffixes(std::string_view* a, std::string_view* b) {
@@ -29,24 +27,16 @@ void TrimCommonAffixes(std::string_view* a, std::string_view* b) {
   b->remove_suffix(suffix);
 }
 
-// Builds the epoch-stamped Peq table for `pattern` and returns the
-// block count. Only rows of bytes that occur in the pattern are
-// (re-)zeroed; absent bytes resolve to scratch->zeros at lookup time.
-size_t BuildPeq(std::string_view pattern, SimilarityScratch* s) {
-  const size_t blocks = (pattern.size() + 63) / 64;
-  s->ReserveBlocks(blocks);
-  ++s->epoch;
-  const size_t stride = s->block_capacity;
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(pattern[i]);
-    uint64_t* row = &s->peq[size_t{c} * stride];
-    if (s->peq_stamp[c] != s->epoch) {
-      std::fill(row, row + blocks, uint64_t{0});
-      s->peq_stamp[c] = s->epoch;
-    }
-    row[i >> 6] |= uint64_t{1} << (i & 63);
+// Builds Peq block b: the 256 rows (one per byte value) of pattern
+// rows 64b+1 .. 64b+64. Zeroing the whole block clears whatever an
+// earlier pattern left there, so no other block needs touching.
+void BuildPeqBlock(std::string_view pattern, size_t b, SimilarityScratch* s) {
+  uint64_t* rows = &s->peq[256 * b];
+  std::fill(rows, rows + 256, uint64_t{0});
+  const size_t end = std::min(pattern.size(), 64 * (b + 1));
+  for (size_t i = 64 * b; i < end; ++i) {
+    rows[static_cast<unsigned char>(pattern[i])] |= uint64_t{1} << (i & 63);
   }
-  return blocks;
 }
 
 // Core Myers column scan: pattern is the shorter (non-empty) string,
@@ -67,29 +57,26 @@ size_t MyersCore(std::string_view pattern, std::string_view text,
                  size_t max_dist, SimilarityScratch* s) {
   const size_t m = pattern.size();
   const size_t n = text.size();
-  const size_t blocks = BuildPeq(pattern, s);
-  const size_t stride = s->block_capacity;
-  const uint64_t* zeros = s->zeros.data();
+  const size_t blocks = (m + 63) / 64;
+  s->ReserveBlocks(blocks);
+  // Block b's row for text byte c is peq[256 * b + c].
+  const uint64_t* peq = s->peq.data();
 
   if (blocks == 1) {
     // Single-word fast path (Hyyro's formulation of Myers 1999).
+    BuildPeqBlock(pattern, 0, s);
     uint64_t pv = ~uint64_t{0};
     uint64_t mv = 0;
     size_t score = m;
-    const uint64_t high = uint64_t{1} << (m - 1);
+    const unsigned high = static_cast<unsigned>(m - 1);
     for (size_t j = 0; j < n; ++j) {
-      const unsigned char c = static_cast<unsigned char>(text[j]);
-      const uint64_t eq =
-          s->peq_stamp[c] == s->epoch ? s->peq[size_t{c} * stride] : 0;
+      const uint64_t eq = peq[static_cast<unsigned char>(text[j])];
       const uint64_t xv = eq | mv;
       const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
       uint64_t ph = mv | ~(xh | pv);
       uint64_t mh = pv & xh;
-      if (ph & high) {
-        ++score;
-      } else if (mh & high) {
-        --score;
-      }
+      // Ph and Mh are disjoint: the score moves by at most one.
+      score = score + ((ph >> high) & 1) - ((mh >> high) & 1);
       ph = (ph << 1) | 1;  // D[0][j] = j: the top boundary grows by one
       mh <<= 1;
       pv = mh | ~(xv | ph);
@@ -101,87 +88,78 @@ size_t MyersCore(std::string_view pattern, std::string_view text,
   }
 
   // Blocked multi-word variant over the band: per-block vertical
-  // deltas, with the horizontal delta (+1/0/-1) carried across block
-  // boundaries. Rows are 1-based; block b holds rows 64b+1 .. 64b+64
-  // (its bit r is row 64b+r+1). `first`/`last` are the window's
+  // deltas, with the horizontal delta carried across block boundaries
+  // as two bits (hp for +1, hm for -1; never both), as in Edlib's
+  // calculateBlock. Rows are 1-based; block b holds rows 64b+1 ..
+  // 64b+64 (its bit r is row 64b+r+1). `first`/`last` are the window's
   // blocks, `score` is D[bottom row of block `last`][j] and `diag` is
   // D[j - delta][j], the cell of column j on the diagonal that ends in
   // D[m][n].
   const size_t delta = n - m;
   const size_t w = (max_dist - delta) / 2;
   const size_t final_block = blocks - 1;
-  const uint64_t final_high = uint64_t{1} << ((m - 1) & 63);
+  const unsigned final_high = static_cast<unsigned>((m - 1) & 63);
   const auto block_rows = [m](size_t b) {
     return std::min(m, 64 * (b + 1)) - 64 * b;
   };
   uint64_t* pv = s->pv.data();
   uint64_t* mv = s->mv.data();
+  // Column 0: D[i][0] = i. Entering blocks also start from this state.
+  const auto enter_block = [&](size_t b) {
+    BuildPeqBlock(pattern, b, s);
+    pv[b] = ~uint64_t{0};
+    mv[b] = 0;
+    return block_rows(b);
+  };
   size_t first = 0;
   size_t last = (std::min(m, w + 1) - 1) >> 6;  // window of column 1
   ptrdiff_t diag = static_cast<ptrdiff_t>(delta);  // D[0][delta] = delta
   size_t score = 0;
-  for (size_t b = 0; b <= last; ++b) {  // column 0: D[i][0] = i
-    pv[b] = ~uint64_t{0};
-    mv[b] = 0;
-    score += block_rows(b);
-  }
+  for (size_t b = 0; b <= last; ++b) score += enter_block(b);
   for (size_t j = 1; j <= n; ++j) {
-    const unsigned char c = static_cast<unsigned char>(text[j - 1]);
-    const uint64_t* eq_row =
-        s->peq_stamp[c] == s->epoch ? &s->peq[size_t{c} * stride] : zeros;
     // Bottom edge: the band reaches at most one more block per column.
     // The entering block's previous column is taken as D[64b][j-1] + r
     // for its row r, never below the true D[64b + r][j-1].
-    if (((std::min(m, j + w) - 1) >> 6) > last) {
-      ++last;
-      pv[last] = ~uint64_t{0};
-      mv[last] = 0;
-      score += block_rows(last);
-    }
+    if (((std::min(m, j + w) - 1) >> 6) > last) score += enter_block(++last);
+    const uint64_t* eq = peq + static_cast<unsigned char>(text[j - 1]);
     // Top edge: blocks wholly above the band drop out. The new top
-    // block sees hin = +1, i.e. D[64 * first][j] = D[64 * first][j-1]
+    // block sees a +1 carry, i.e. D[64 * first][j] = D[64 * first][j-1]
     // + 1, again never below the true value.
     if (j > delta + w) first = (j - delta - w - 1) >> 6;
     // Row j - delta holds this column's diagonal cell (none while j <=
     // delta); its block and bit, in the unsigned wrap-around otherwise.
     const size_t diag_block = j > delta ? (j - delta - 1) >> 6 : blocks;
     const uint64_t diag_bit = uint64_t{1} << ((j - delta - 1) & 63);
-    int hin = 1;  // D[0][j] = j: the boundary row grows by one
+    uint64_t hp = 1;  // D[0][j] = j: the boundary row grows by one
+    uint64_t hm = 0;
+    uint64_t ph = 0;
+    uint64_t mh = 0;
     for (size_t b = first; b <= last; ++b) {
-      const uint64_t high = b == final_block ? final_high : kHighBit;
-      uint64_t eq = eq_row[b];
       const uint64_t pvb = pv[b];
       const uint64_t mvb = mv[b];
-      const uint64_t xv = eq | mvb;
-      if (hin < 0) eq |= 1;
-      const uint64_t xh = (((eq & pvb) + pvb) ^ pvb) | eq;
-      uint64_t ph = mvb | ~(xh | pvb);
-      uint64_t mh = pvb & xh;
-      int hout = 0;
-      if (ph & high) {
-        hout = 1;
-      } else if (mh & high) {
-        hout = -1;
-      }
-      ph <<= 1;
-      mh <<= 1;
-      if (hin > 0) {
-        ph |= 1;
-      } else if (hin < 0) {
-        mh |= 1;
-      }
-      pv[b] = mh | ~(xv | ph);
-      mv[b] = ph & xv;
+      const uint64_t eqb = eq[256 * b] | hm;
+      const uint64_t xv = eq[256 * b] | mvb;
+      const uint64_t xh = (((eqb & pvb) + pvb) ^ pvb) | eqb;
+      ph = mvb | ~(xh | pvb);
+      mh = pvb & xh;
+      // Row 64b+64's delta carries into the next block. The window's
+      // last block carries nothing; its score bit is read below.
+      const uint64_t ph_in = (ph << 1) | hp;
+      const uint64_t mh_in = (mh << 1) | hm;
+      hp = ph >> 63;
+      hm = mh >> 63;
+      pv[b] = mh_in | ~(xv | ph_in);
+      mv[b] = ph_in & xv;
       if (b == diag_block) {
         // D[r][j] = D[r-1][j-1] + (horizontal delta of row r-1, which
         // the shifted ph/mh hold at row r's bit) + (vertical delta of
         // row r in column j).
-        diag += ((ph & diag_bit) != 0) - ((mh & diag_bit) != 0) +
+        diag += ((ph_in & diag_bit) != 0) - ((mh_in & diag_bit) != 0) +
                 ((pv[b] & diag_bit) != 0) - ((mv[b] & diag_bit) != 0);
       }
-      hin = hout;
     }
-    score = static_cast<size_t>(static_cast<ptrdiff_t>(score) + hin);
+    const unsigned high = last == final_block ? final_high : 63;
+    score = score + ((ph >> high) & 1) - ((mh >> high) & 1);
     // Diagonal exit: D never decreases along a diagonal and diagonal
     // delta ends in D[m][n], so D[j - delta][j] > max_dist decides the
     // verdict. That cell lies in the band, so it is exact whenever its
@@ -196,12 +174,9 @@ size_t MyersCore(std::string_view pattern, std::string_view text,
 void SimilarityScratch::ReserveBlocks(size_t blocks) {
   if (blocks <= block_capacity) return;
   block_capacity = std::max(blocks, block_capacity * 2);
-  peq.assign(256 * block_capacity, 0);
-  pv.assign(block_capacity, 0);
-  mv.assign(block_capacity, 0);
-  zeros.assign(block_capacity, 0);
-  std::fill(std::begin(peq_stamp), std::end(peq_stamp), uint64_t{0});
-  epoch = 0;  // rows were re-laid out; every stamp is now stale
+  peq.resize(256 * block_capacity);
+  pv.resize(block_capacity);
+  mv.resize(block_capacity);
 }
 
 size_t MyersEditDistance(std::string_view a, std::string_view b,

@@ -27,23 +27,23 @@
 
 namespace pier {
 
-// Reusable buffers for the Myers kernels. The Peq table (one 64-bit
-// row bitmap per byte value per block) is epoch-stamped: a call bumps
-// `epoch` and re-zeroes only the rows of bytes that actually occur in
-// the pattern, so the per-call setup cost is O(pattern), not O(256 *
-// blocks). Safe to reuse across patterns of any length; grows (and
-// re-stamps) on demand.
+// Reusable buffers for the Myers kernels. `pv`/`mv` carry each 64-row
+// block's vertical deltas from one text column to the next; within a
+// column the horizontal delta passes from block to block as two carry
+// bits, so only the vertical state lives here. The Peq table is
+// block-major (block b's 256 byte rows at peq[256 * b ..]), and a call
+// builds a block (zeroes its rows, sets its 64 bits) only when the
+// band first reaches it: on dbpedia-ed about half of a pattern's
+// blocks before the diagonal exit. A block an earlier, longer pattern
+// left behind is never read before it is rebuilt. Safe to reuse
+// across patterns of any length; grows on demand.
 struct SimilarityScratch {
-  std::vector<uint64_t> peq;        // 256 rows * block_capacity words
+  std::vector<uint64_t> peq;        // 256 rows per block, block-major
   std::vector<uint64_t> pv;         // vertical +1 deltas, per block
   std::vector<uint64_t> mv;         // vertical -1 deltas, per block
-  std::vector<uint64_t> zeros;      // all-zero row for absent bytes
-  uint64_t peq_stamp[256] = {};     // epoch that last wrote each row
-  uint64_t epoch = 0;
   size_t block_capacity = 0;
 
-  // Ensures capacity for `blocks` 64-row blocks; invalidates all
-  // stamped rows when it has to grow.
+  // Ensures capacity for `blocks` 64-row blocks.
   void ReserveBlocks(size_t blocks);
 };
 

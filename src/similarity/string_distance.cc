@@ -60,43 +60,6 @@ size_t Levenshtein(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-size_t LevenshteinBounded(std::string_view a, std::string_view b,
-                          size_t max_dist) {
-  if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string
-  if (a.size() - b.size() > max_dist) return max_dist + 1;
-  if (b.empty()) return a.size();
-  constexpr size_t kInf = static_cast<size_t>(-1) / 2;
-  const size_t m = b.size();
-  std::vector<size_t> row(m + 1);
-  std::iota(row.begin(), row.end(), size_t{0});
-  for (size_t i = 1; i <= a.size(); ++i) {
-    // Only columns j with |i - j| <= max_dist can lead to a distance
-    // within the bound (Ukkonen's band).
-    const size_t lo = i > max_dist ? i - max_dist : 1;
-    const size_t hi = std::min(m, i + max_dist);
-    size_t diag = row[lo - 1];                 // D[i-1][lo-1]
-    size_t left = lo == 1 ? i : kInf;          // D[i][lo-1]
-    if (lo == 1) row[0] = i;
-    size_t row_min = kInf;
-    for (size_t j = lo; j <= hi; ++j) {
-      const size_t up = row[j];  // D[i-1][j]
-      const size_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
-      size_t best = diag + cost;
-      if (up + 1 < best) best = up + 1;
-      if (left + 1 < best) best = left + 1;
-      row[j] = best;
-      left = best;
-      diag = up;
-      if (best < row_min) row_min = best;
-    }
-    // Invalidate the cell right of the band so the next row does not
-    // read a stale value as its `up` neighbour.
-    if (hi < m) row[hi + 1] = kInf;
-    if (row_min > max_dist) return max_dist + 1;
-  }
-  return row[m] <= max_dist ? row[m] : max_dist + 1;
-}
-
 double NormalizedEditSimilarity(std::string_view a, std::string_view b) {
   if (a == b) return 1.0;  // covers the both-empty case; no DP needed
   // The length difference lower-bounds the distance; when one side is

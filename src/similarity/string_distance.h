@@ -34,12 +34,6 @@ double CosineSimilarity(std::span<const TokenId> a,
 // O(min(|a|, |b|)) space.
 size_t Levenshtein(std::string_view a, std::string_view b);
 
-// Levenshtein with early abandoning: returns
-// min(Levenshtein(a, b), max_dist + 1). Uses the band
-// |i - j| <= max_dist (Ukkonen), so it runs in O(max_dist * min_len).
-size_t LevenshteinBounded(std::string_view a, std::string_view b,
-                          size_t max_dist);
-
 // 1 - dist / max(|a|, |b|); 1.0 when both empty.
 double NormalizedEditSimilarity(std::string_view a, std::string_view b);
 

@@ -16,10 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/generators.h"
+#include "model/token_dictionary.h"
 #include "similarity/intersect_kernel.h"
 #include "similarity/matcher.h"
 #include "similarity/similarity_kernels.h"
 #include "similarity/string_distance.h"
+#include "text/tokenizer.h"
 #include "util/rng.h"
 
 namespace pier {
@@ -98,8 +101,8 @@ TEST(SimilarityKernelsMyersTest, BlockBoundaryLengths) {
 }
 
 TEST(SimilarityKernelsMyersTest, ScratchReuseAcrossGrowthAndShrink) {
-  // One scratch across shrinking and growing patterns: the epoch
-  // stamps must never let a stale Peq row leak into a later call.
+  // One scratch across shrinking and growing patterns: a Peq block an
+  // earlier pattern built must never leak into a later call.
   SimilarityScratch scratch;
   Rng rng(7);
   std::vector<std::pair<std::string, std::string>> cases;
@@ -124,11 +127,11 @@ TEST(SimilarityKernelsBoundedTest, KnownValues) {
   EXPECT_EQ(MyersEditDistanceBounded("abc", "", 5, &scratch), 3u);
 }
 
-// Property: both the bit-parallel bounded kernel and the reference
-// banded DP compute exactly min(Levenshtein(a, b), max_dist + 1), and
-// the exact kernel equals the DP, over fuzzed strings of lengths 0-300
-// and alphabet sizes 2..256 (high bytes included). The scratch is
-// reused across every iteration to stress the epoch stamping.
+// Property: the bit-parallel bounded kernel computes exactly
+// min(Levenshtein(a, b), max_dist + 1), and the exact kernel equals
+// the DP, over fuzzed strings of lengths 0-300 and alphabet sizes
+// 2..256 (high bytes included). The scratch is reused across every
+// iteration, so each Peq block is rebuilt over an earlier pattern's.
 class SimilarityKernelsMyersPropertyTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -148,9 +151,6 @@ TEST_P(SimilarityKernelsMyersPropertyTest, KernelsMatchReferenceDp) {
     const size_t bound = rng.UniformInt(0, 40);
     const size_t expected = std::min(exact, bound + 1);
     ASSERT_EQ(MyersEditDistanceBounded(a, b, bound, &scratch), expected)
-        << "|a|=" << a.size() << " |b|=" << b.size() << " k=" << bound;
-    // Satellite: the reference banded DP obeys the same contract.
-    ASSERT_EQ(LevenshteinBounded(a, b, bound), expected)
         << "|a|=" << a.size() << " |b|=" << b.size() << " k=" << bound;
   }
 }
@@ -219,6 +219,40 @@ TEST_P(SimilarityKernelsBandEdgePropertyTest, BoundedKernelExactAtTheBound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityKernelsBandEdgePropertyTest,
                          ::testing::Values(71u, 72u, 73u, 74u));
+
+TEST(SimilarityKernelsBoundedTest, PeqBlockBuiltBeforeTheBandReadsIt) {
+  // The Peq table is built one block at a time, as the band reaches
+  // each block. This pins the order within a column: the block that
+  // enters at the bottom edge is built before the column reads it.
+  SimilarityScratch scratch;
+  Rng rng(91);
+  // A longer pattern over another alphabet first leaves its rows in
+  // every block a later call reaches.
+  const std::string old_a = RandomString(rng, 448, 26);
+  const std::string old_b = RandomlyEdited(rng, old_a, 40, 26, false);
+  ASSERT_EQ(MyersEditDistance(old_a, old_b, &scratch),
+            Levenshtein(old_a, old_b));
+
+  // 256 high bytes with the only 'Q' at index 128, the first row of
+  // block 2. The text drops the pattern's first kShift bytes and
+  // appends kShift bytes of its own, so the one optimal alignment runs
+  // on diagonal -kShift and matches the 'Q' at text column 129 -
+  // kShift. With bound 2 * kShift the band's lower diagonal is
+  // -kShift as well, so block 2 enters at exactly that column.
+  constexpr size_t kShift = 20;
+  std::string pattern = RandomString(rng, 256, 256);
+  for (char& c : pattern) c = static_cast<char>(c | 0x80);
+  pattern[128] = 'Q';
+  const std::string text = pattern.substr(kShift) + std::string(kShift, 'q');
+  ASSERT_EQ(text[128 - kShift], 'Q');
+  ASSERT_EQ(Levenshtein(pattern, text), 2 * kShift);
+  // Equal lengths: the kernel takes its second argument as the pattern.
+  for (const size_t bound : {2 * kShift, 2 * kShift + 1}) {
+    EXPECT_EQ(MyersEditDistanceBounded(text, pattern, bound, &scratch),
+              2 * kShift)
+        << "k=" << bound;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Threshold -> integer-bound conversions
@@ -557,6 +591,56 @@ TEST(SimilarityKernelsMatcherTest, EditDistanceVerdictLongNearDuplicates) {
     ASSERT_EQ(matcher.Verdict(a, b, &scratch), matcher.Matches(a, b))
         << "iter=" << iter << " edits=" << edits;
   }
+}
+
+TEST(SimilarityKernelsMatcherTest, EditDistanceAtTheDbpediaEdConfiguration) {
+  // The benchmark's own ED matcher, 0.75 over the first 512 bytes of
+  // tokenized dbpedia profiles: ground-truth pairs (near-duplicates, the
+  // exact full-band case) and random cross-source pairs (the diagonal
+  // exit), all through one scratch.
+  DbpediaOptions options;
+  options.source0_count = 430;
+  options.source1_count = 570;
+  options.seed = 1;
+  Dataset dataset = GenerateDbpedia(options);
+  Tokenizer tokenizer;
+  TokenDictionary dictionary;
+  for (auto& p : dataset.profiles) tokenizer.TokenizeProfile(p, dictionary);
+  const std::vector<EntityProfile>& profiles = dataset.profiles;
+
+  std::vector<std::pair<ProfileId, ProfileId>> pairs;
+  for (const uint64_t key : dataset.truth.pairs()) {
+    pairs.emplace_back(static_cast<ProfileId>(key >> 32),
+                       static_cast<ProfileId>(key & 0xffffffffu));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  ASSERT_GE(pairs.size(), 100u);
+  pairs.resize(100);
+  Rng rng(97);
+  while (pairs.size() < 250) {
+    const auto a = static_cast<ProfileId>(
+        rng.UniformInt(0, profiles.size() - 1));
+    const auto b = static_cast<ProfileId>(
+        rng.UniformInt(0, profiles.size() - 1));
+    if (profiles[a].source != profiles[b].source) pairs.emplace_back(a, b);
+  }
+
+  const EditDistanceMatcher matcher(0.75, /*max_text_length=*/512);
+  SimilarityScratch scratch;
+  size_t matches = 0;
+  for (const auto& [x, y] : pairs) {
+    const EntityProfile& a = profiles[x];
+    const EntityProfile& b = profiles[y];
+    ASSERT_EQ(matcher.SimilarityKernel(a, b, &scratch),
+              matcher.Similarity(a, b))
+        << "a=" << x << " b=" << y;
+    const bool verdict = matcher.Verdict(a, b, &scratch);
+    ASSERT_EQ(verdict, matcher.Matches(a, b)) << "a=" << x << " b=" << y;
+    matches += verdict ? 1 : 0;
+  }
+  // Both verdicts occur, so neither side of the threshold goes untested.
+  EXPECT_GT(matches, 0u);
+  EXPECT_LT(matches, pairs.size());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for src/similarity: token-set measures, Levenshtein (exact and
-// banded), matchers, and randomized property tests for the banded
-// implementation against the exact one.
+// Tests for src/similarity: token-set measures, Levenshtein (the exact
+// DP and the bounded Myers kernel), matchers, and randomized property
+// tests for the bounded kernel against the exact DP.
 
 #include <string>
 #include <vector>
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "similarity/matcher.h"
+#include "similarity/similarity_kernels.h"
 #include "similarity/string_distance.h"
 #include "util/rng.h"
 
@@ -69,31 +70,14 @@ TEST(LevenshteinTest, Symmetric) {
   EXPECT_EQ(Levenshtein("abcdef", "azced"), Levenshtein("azced", "abcdef"));
 }
 
-TEST(LevenshteinBoundedTest, ExactWithinBound) {
-  EXPECT_EQ(LevenshteinBounded("kitten", "sitting", 3), 3u);
-  EXPECT_EQ(LevenshteinBounded("kitten", "sitting", 10), 3u);
-}
-
-TEST(LevenshteinBoundedTest, ExceedsBound) {
-  EXPECT_GT(LevenshteinBounded("kitten", "sitting", 2), 2u);
-  EXPECT_GT(LevenshteinBounded("aaaa", "bbbb", 3), 3u);
-}
-
-TEST(LevenshteinBoundedTest, LengthDifferenceShortCircuit) {
-  EXPECT_GT(LevenshteinBounded("ab", "abcdefgh", 3), 3u);
-}
-
-TEST(LevenshteinBoundedTest, EmptyStrings) {
-  EXPECT_EQ(LevenshteinBounded("", "", 0), 0u);
-  EXPECT_EQ(LevenshteinBounded("abc", "", 5), 3u);
-}
-
-// Property test: the banded version agrees with the exact version on
-// random strings whenever the distance is within the bound.
+// Property test: the bounded Myers kernel agrees with the exact DP on
+// short random strings whenever the distance is within the bound,
+// and reports a distance past the bound otherwise.
 class LevenshteinPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LevenshteinPropertyTest, BandedMatchesExact) {
   Rng rng(GetParam());
+  SimilarityScratch scratch;
   for (int iter = 0; iter < 300; ++iter) {
     const size_t la = rng.UniformInt(0, 24);
     const size_t lb = rng.UniformInt(0, 24);
@@ -107,7 +91,7 @@ TEST_P(LevenshteinPropertyTest, BandedMatchesExact) {
     }
     const size_t exact = Levenshtein(a, b);
     const size_t bound = rng.UniformInt(0, 12);
-    const size_t banded = LevenshteinBounded(a, b, bound);
+    const size_t banded = MyersEditDistanceBounded(a, b, bound, &scratch);
     if (exact <= bound) {
       EXPECT_EQ(banded, exact) << "a=" << a << " b=" << b << " k=" << bound;
     } else {
